@@ -42,7 +42,7 @@
 //! provable", not "nothing wrong". Findings rank
 //! [`Severity::Unsound`] > [`Severity::Redundant`] >
 //! [`Severity::Hygiene`]; `scripts/ci.sh` refuses artifacts with unsound
-//! findings via `experiments -- --check-analysis`.
+//! findings via `experiments -- --check analysis.json`.
 //!
 //! # Example
 //!

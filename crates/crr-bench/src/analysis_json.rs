@@ -1,15 +1,14 @@
 //! The `analysis.json` artifact: static verification reports from
 //! `crr-analyze`, written by `experiments -- analyze` and re-validated by
-//! `--check-analysis` so a drifted emitter — or an artifact with an
+//! `experiments --check` so a drifted emitter — or an artifact with an
 //! `unsound` finding — fails CI, not a reader.
 //!
-//! Like [`crate::metrics_json`], rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The layout is
-//! documented in `EXPERIMENTS.md`, section "Benchmark artifact schemas".
+//! Reading, writing and the schema-tag dispatch go through
+//! [`crate::artifact`]. The layout is documented in `EXPERIMENTS.md`,
+//! section "Benchmark artifact schemas".
 
+use crate::artifact::{document, write, Fields, Node, Out};
 use crr_analyze::AnalysisReport;
-use crr_obs::json::{esc, parse, Json};
-use std::fmt::Write as _;
 
 /// Schema tag stamped into the file; bump when the layout changes.
 /// `v2` added the A6/A7 check labels and the `absdom_transfers` /
@@ -49,67 +48,37 @@ pub struct AnalysisRun {
 
 /// Renders the runs as pretty-printed JSON with a stable key order.
 pub fn render(runs: &[AnalysisRun]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"dataset\": \"{}\",", esc(&r.dataset));
-        let _ = writeln!(out, "      \"rows\": {},", r.rows);
-        let _ = writeln!(out, "      \"source\": \"{}\",", esc(&r.source));
-        let _ = writeln!(out, "      \"rules\": {},", r.report.rules);
-        let _ = writeln!(out, "      \"conjuncts\": {},", r.report.conjuncts);
-        let _ = writeln!(out, "      \"shards\": {},", r.report.shards);
-        let _ = writeln!(out, "      \"counters\": {},", r.report.counters.to_json(6));
-        let _ = writeln!(out, "      \"findings\": [");
-        for (k, f) in r.report.findings.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"check\": \"{}\", \"severity\": \"{}\"",
-                f.check.label(),
-                f.severity.label()
-            );
-            if let Some(rule) = f.rule {
-                let _ = write!(out, ", \"rule\": {rule}");
-            }
-            if let Some(shard) = f.shard {
-                let _ = write!(out, ", \"shard\": {shard}");
-            }
-            let comma = if k + 1 < r.report.findings.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, ", \"message\": \"{}\"}}{comma}", esc(&f.message));
-        }
-        let _ = writeln!(out, "      ],");
+    let runs = runs.iter().map(|r| {
+        let findings = r.report.findings.iter().map(|f| {
+            Fields::new()
+                .str("check", f.check.label())
+                .str("severity", f.severity.label())
+                .opt("rule", f.rule)
+                .opt("shard", f.shard)
+                .str("message", &f.message)
+                .inline()
+        });
         let s = r.report.summary();
-        let _ = writeln!(
-            out,
-            "      \"summary\": {{\"unsound\": {}, \"redundant\": {}, \"hygiene\": {}}}",
-            s.unsound, s.redundant, s.hygiene
-        );
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing '{key}'"))?
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a number"))?;
-    if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: '{key}' is not a non-negative integer ({v})"
-        ));
-    }
-    Ok(v as u64)
+        Fields::new()
+            .str("dataset", &r.dataset)
+            .lit("rows", r.rows)
+            .str("source", &r.source)
+            .lit("rules", r.report.rules)
+            .lit("conjuncts", r.report.conjuncts)
+            .lit("shards", r.report.shards)
+            .lit("counters", r.report.counters.to_json(6))
+            .out("findings", Out::List(findings.collect()))
+            .out(
+                "summary",
+                Fields::new()
+                    .lit("unsound", s.unsound)
+                    .lit("redundant", s.redundant)
+                    .lit("hygiene", s.hygiene)
+                    .inline(),
+            )
+            .block()
+    });
+    write(SCHEMA, Fields::new().out("runs", Out::List(runs.collect())))
 }
 
 /// Validates an `analysis.json` document. On success, returns a one-line
@@ -133,37 +102,19 @@ fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
 ///   (`counters.repair_regions ≥ 1`) while `single` / `sharded` runs
 ///   audited none.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("document: missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'runs' missing or not an array")?;
-    if runs.is_empty() {
-        return Err("'runs' is empty".to_string());
-    }
+    let json = document(text, SCHEMA, "runs")?;
+    let runs = Node::root(&json).arr("runs")?;
     let mut total_findings = 0u64;
-    for (i, r) in runs.iter().enumerate() {
-        let ctx = format!("runs[{i}]");
-        r.get("dataset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'dataset'"))?;
-        let source = r
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'source'"))?;
+    for r in &runs {
+        let ctx = r.path();
+        r.str("dataset")?;
+        let source = r.str("source")?;
         if source != "single" && source != "sharded" && source != "repair" {
             return Err(format!("{ctx}: unknown source '{source}'"));
         }
-        let rules = uint(r, "rules", &ctx)?;
-        let conjuncts = uint(r, "conjuncts", &ctx)?;
-        let shards = uint(r, "shards", &ctx)?;
+        let rules = r.uint("rules")?;
+        let conjuncts = r.uint("conjuncts")?;
+        let shards = r.uint("shards")?;
         if rules == 0 {
             return Err(format!("{ctx}: analyzed an empty rule set"));
         }
@@ -180,28 +131,26 @@ pub fn validate(text: &str) -> Result<String, String> {
             }
             _ => {}
         }
-        let counters = r
-            .get("counters")
-            .ok_or_else(|| format!("{ctx}: missing 'counters'"))?;
-        if uint(counters, "rules", &ctx)? != rules {
+        let counters = r.obj("counters")?;
+        if counters.uint("rules")? != rules {
             return Err(format!("{ctx}: counters.rules disagrees with rules"));
         }
-        if uint(counters, "conjuncts", &ctx)? != conjuncts {
+        if counters.uint("conjuncts")? != conjuncts {
             return Err(format!(
                 "{ctx}: counters.conjuncts disagrees with conjuncts"
             ));
         }
-        if uint(counters, "unsat_checks", &ctx)? < conjuncts {
+        if counters.uint("unsat_checks")? < conjuncts {
             return Err(format!(
                 "{ctx}: not every conjunct was satisfiability-checked"
             ));
         }
-        if uint(counters, "compile_equiv_checks", &ctx)? != conjuncts {
+        if counters.uint("compile_equiv_checks")? != conjuncts {
             return Err(format!(
                 "{ctx}: not every conjunct went through the compile-equivalence check"
             ));
         }
-        let repair_regions = uint(counters, "repair_regions", &ctx)?;
+        let repair_regions = counters.uint("repair_regions")?;
         match source {
             "repair" if repair_regions == 0 => {
                 return Err(format!("{ctx}: repair run audited no repair regions"));
@@ -213,50 +162,35 @@ pub fn validate(text: &str) -> Result<String, String> {
             }
             _ => {}
         }
-        let findings = r
-            .get("findings")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{ctx}: 'findings' missing or not an array"))?;
         let mut tally = [0u64; 3]; // unsound, redundant, hygiene
-        for (k, f) in findings.iter().enumerate() {
-            let fctx = format!("{ctx}.findings[{k}]");
-            let check = f
-                .get("check")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{fctx}: missing 'check'"))?;
+        for f in r.arr("findings")? {
+            let check = f.str("check")?;
             if !CHECKS.contains(&check) {
-                return Err(format!("{fctx}: unknown check '{check}'"));
+                return Err(format!("{}: unknown check '{check}'", f.path()));
             }
-            let severity = f
-                .get("severity")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{fctx}: missing 'severity'"))?;
+            let severity = f.str("severity")?;
             let Some(si) = SEVERITIES.iter().position(|&s| s == severity) else {
-                return Err(format!("{fctx}: unknown severity '{severity}'"));
+                return Err(format!("{}: unknown severity '{severity}'", f.path()));
             };
             tally[si] += 1;
-            let msg = f
-                .get("message")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{fctx}: missing 'message'"))?;
+            let msg = f.str("message")?;
             if severity == "unsound" {
                 return Err(format!(
-                    "{fctx}: UNSOUND ({check}): {msg} — the artifact fails its own \
-                     static verification"
+                    "{}: UNSOUND ({check}): {msg} — the artifact fails its own \
+                     static verification",
+                    f.path()
                 ));
             }
         }
-        let summary = r
-            .get("summary")
-            .ok_or_else(|| format!("{ctx}: missing 'summary'"))?;
+        let summary = r.obj("summary")?;
         for (si, name) in SEVERITIES.iter().enumerate() {
-            if uint(summary, name, &ctx)? != tally[si] {
+            if summary.uint(name)? != tally[si] {
                 return Err(format!(
                     "{ctx}: summary.{name} disagrees with the findings listed"
                 ));
             }
             let counter_key = format!("findings_{name}");
-            if uint(counters, &counter_key, &ctx)? != tally[si] {
+            if counters.uint(&counter_key)? != tally[si] {
                 return Err(format!(
                     "{ctx}: counters.{counter_key} disagrees with the findings listed"
                 ));
@@ -413,11 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_or_mislabeled_documents_are_rejected() {
-        assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-analysis-v2\", \"runs\": []}").is_err());
-        // The previous schema generation is refused, not silently accepted.
-        assert!(validate("{\"schema\": \"crr-analysis-v1\", \"runs\": [1]}").is_err());
-        assert!(validate("{\"schema\": \"other\", \"runs\": [1]}").is_err());
+    fn fixture_renders_byte_identical_to_the_golden_file() {
+        assert_eq!(render(&sample()), include_str!("../golden/analysis.json"));
     }
 }

@@ -32,15 +32,13 @@
 //! `--check <path>` re-parses any previously written tracked artifact and
 //! fails the process unless it is complete and finite — the CI gate. The
 //! file's own `schema` tag picks the validator, so one flag covers every
-//! artifact; the legacy spellings (`--check-bench`, `--check-metrics`,
-//! `--check-analysis`, `--check-serving`, `--check-stream`) remain as
-//! aliases that force the artifact kind instead of sniffing it.
+//! artifact.
 //!
 //! Observability artifacts ride along:
 //!
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- --metrics-out metrics.json bench
-//! cargo run --release -p crr-bench --bin experiments -- --check-metrics metrics.json
+//! cargo run --release -p crr-bench --bin experiments -- --check metrics.json
 //! ```
 //!
 //! `--metrics-out` re-runs each bench cell once with an enabled
@@ -49,7 +47,7 @@
 //! in-process (moments runs never rescan, cross-shard pool hits + misses
 //! reconcile with probes, the injected-fault count matches the plan), and
 //! writes the snapshots as `metrics.json`.
-//! `--check-metrics` re-validates such a file — see EXPERIMENTS.md,
+//! `--check` re-validates such a file — see EXPERIMENTS.md,
 //! section "Benchmark artifact schemas", for both layouts.
 //!
 //! Static verification (also excluded from `all`):
@@ -57,7 +55,7 @@
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- analyze
 //! cargo run --release -p crr-bench --bin experiments -- --analysis-json out.json analyze
-//! cargo run --release -p crr-bench --bin experiments -- --check-analysis analysis.json
+//! cargo run --release -p crr-bench --bin experiments -- --check analysis.json
 //! ```
 //!
 //! `analyze` discovers rules on Electricity and Tax — once unsharded,
@@ -69,7 +67,7 @@
 //! artifact — the sharded ones against their emitted proof obligations,
 //! the repaired one against its bundled repair obligations. The reports
 //! are written as `analysis.json` (or the `--analysis-json` path); any
-//! `unsound` finding aborts in-process. `--check-analysis` re-validates
+//! `unsound` finding aborts in-process. `--check` re-validates
 //! such a file — the CI gate refusing artifacts that fail their own
 //! verification.
 //!
@@ -94,7 +92,7 @@
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- serving
 //! cargo run --release -p crr-bench --bin experiments -- --serving-json out.json serving
-//! cargo run --release -p crr-bench --bin experiments -- --check-serving BENCH_serving.json
+//! cargo run --release -p crr-bench --bin experiments -- --check BENCH_serving.json
 //! ```
 //!
 //! `serving` discovers a rule set on Electricity, stands up a live
@@ -105,7 +103,7 @@
 //! `max_in_flight` — must shed `503`s, never reset connections), and a
 //! hot-swap churn cell that drives accepted and rejected swaps while
 //! pinning in-flight answers byte-identical to offline evaluation. The
-//! result is written as `BENCH_serving.json`; `--check-serving`
+//! result is written as `BENCH_serving.json`; `--check`
 //! re-validates it — the CI gate for the serving runtime.
 //!
 //! The streaming-maintenance benchmark (also excluded from `all`):
@@ -113,7 +111,7 @@
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- stream
 //! cargo run --release -p crr-bench --bin experiments -- --stream-json out.json stream
-//! cargo run --release -p crr-bench --bin experiments -- --check-stream BENCH_stream.json
+//! cargo run --release -p crr-bench --bin experiments -- --check BENCH_stream.json
 //! ```
 //!
 //! `stream` discovers on a base slice of Electricity and Tax, replays an
@@ -123,8 +121,8 @@
 //! `crr-analyze`, hot-swap into a live `crr-serve` server, and serve
 //! predictions byte-identical to offline evaluation; at the Electricity
 //! headline scale the incremental path must beat rediscovery by the
-//! `crr-stream-v1` speedup floor. The result is written as
-//! `BENCH_stream.json`; `--check-stream` re-validates it.
+//! `stream_json` speedup floor. The result is written as
+//! `BENCH_stream.json`; `--check` re-validates it.
 //!
 //! Absolute numbers differ from the paper (different hardware, synthetic
 //! stand-in datasets); the *shape* — who wins, by what factor, where
@@ -163,52 +161,13 @@ fn run_discovery(
 }
 
 /// `--check <path>`: one gate for every tracked artifact. The file's own
-/// `schema` tag picks the validator; the legacy per-artifact spellings
-/// (`--check-bench`, `--check-metrics`, `--check-analysis`,
-/// `--check-serving`, `--check-stream`) force `kind` instead of sniffing,
-/// so a mislabeled file can't dodge its intended gate.
+/// `schema` tag picks the validator from [`artifact::ARTIFACTS`].
 ///
 /// Prints the validator's summary and returns on success; prints the first
 /// violation and exits non-zero otherwise.
-fn check_artifact(path: &str, kind: Option<&str>) {
+fn check_artifact(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let sniffed;
-    let kind = match kind {
-        Some(k) => k,
-        None => {
-            let schema = bench_json::parse(&text)
-                .ok()
-                .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
-            sniffed = schema;
-            match sniffed.as_deref() {
-                Some(s) if s.starts_with("crr-bench-discovery-") => "bench",
-                Some(s) if s.starts_with("crr-metrics-") => "metrics",
-                Some(s) if s.starts_with("crr-analysis-") => "analysis",
-                Some(s) if s.starts_with("crr-serving-") => "serving",
-                Some(s) if s.starts_with("crr-stream-") => "stream",
-                Some(s) => {
-                    eprintln!("{path}: INVALID: unrecognized artifact schema '{s}'");
-                    std::process::exit(1);
-                }
-                None => {
-                    eprintln!(
-                        "{path}: INVALID: no 'schema' tag to dispatch on \
-                         (is this a tracked artifact?)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-    };
-    let result = match kind {
-        "bench" => bench_json::validate(&text),
-        "metrics" => metrics_json::validate(&text),
-        "analysis" => analysis_json::validate(&text),
-        "serving" => serving_json::validate(&text),
-        "stream" => stream_json::validate(&text),
-        other => unreachable!("unknown artifact kind '{other}'"),
-    };
-    match result {
+    match artifact::check(&text) {
         Ok(summary) => println!("{path}: {summary}"),
         Err(e) => {
             eprintln!("{path}: INVALID: {e}");
@@ -350,21 +309,11 @@ fn main() {
             }
             "--check" => {
                 let path = it.next().expect("--check needs an artifact path");
-                check_artifact(path, None);
-                return;
-            }
-            "--check-bench" => {
-                let path = it.next().expect("--check-bench needs a path");
-                check_artifact(path, Some("bench"));
+                check_artifact(path);
                 return;
             }
             "--analysis-json" => {
                 analysis_json_path = it.next().expect("--analysis-json needs a path").clone();
-            }
-            "--check-analysis" => {
-                let path = it.next().expect("--check-analysis needs a path");
-                check_artifact(path, Some("analysis"));
-                return;
             }
             "--artifact-out" => {
                 artifact_out = Some(it.next().expect("--artifact-out needs a path").clone());
@@ -382,26 +331,11 @@ fn main() {
             "--serving-json" => {
                 serving_json_path = it.next().expect("--serving-json needs a path").clone();
             }
-            "--check-serving" => {
-                let path = it.next().expect("--check-serving needs a path");
-                check_artifact(path, Some("serving"));
-                return;
-            }
             "--stream-json" => {
                 stream_json_path = it.next().expect("--stream-json needs a path").clone();
             }
-            "--check-stream" => {
-                let path = it.next().expect("--check-stream needs a path");
-                check_artifact(path, Some("stream"));
-                return;
-            }
             "--metrics-out" => {
                 metrics_out = Some(it.next().expect("--metrics-out needs a path").clone());
-            }
-            "--check-metrics" => {
-                let path = it.next().expect("--check-metrics needs a path");
-                check_artifact(path, Some("metrics"));
-                return;
             }
             "--scale" => {
                 scale = it
@@ -429,6 +363,12 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--max-fits needs a count");
                 budget = budget.with_max_fits(n);
+            }
+            // A removed or mistyped flag must fail loudly: read as an
+            // experiment name it would be skipped and the run would pass.
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag: {flag}");
+                std::process::exit(2);
             }
             other => experiments.push(other.to_string()),
         }
@@ -1117,7 +1057,7 @@ fn ablation(scale: f64) {
 /// engine cells; the sharded cells include the cross-shard Algorithm 2
 /// merge, which is part of what they measure. Best-of-reps wall clock.
 /// Writes the machine-readable report to `path` (`--bench-json`), which
-/// `--check-bench` / `scripts/ci.sh` re-validate.
+/// `--check` / `scripts/ci.sh` re-validate.
 ///
 /// With `metrics_out` set, each cell is re-run once with an enabled
 /// [`crr_discovery::MetricsSink`] (kept out of the timed reps), a
@@ -1224,7 +1164,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                     // interpreted oracle cell is not re-instrumented: it is
                     // the same moments configuration under the slow kernel).
                     // The in-process asserts pin the invariants
-                    // --check-metrics re-verifies from the file.
+                    // --check re-verifies from the file.
                     let cfg = cfg.clone().with_metrics(MetricsSink::enabled());
                     let dm =
                         run_discovery(sc.table(), &rows, &cfg, &space).expect("metered discovery");
@@ -1671,8 +1611,7 @@ fn kernel_microbench(
 /// conjunct through the A6 compile-equivalence comparison. Any `unsound`
 /// finding aborts here; redundant/hygiene findings are reported and land
 /// in the artifact. The runs are written to `path` in the
-/// `crr-analysis-v2` layout that `--check-analysis` (and CI)
-/// re-validates. With `artifact_out`, the repaired artifact's text is
+/// [`analysis_json`] layout that `--check` (and CI) re-validates. With `artifact_out`, the repaired artifact's text is
 /// persisted for `--analyze-artifact` / `--mutate-repair-guard`.
 fn analyze_cmd(scale: f64, path: &str, shards: usize, artifact_out: Option<&str>) {
     let cells: [(&str, fn(usize, u64) -> Scenario, usize, usize); 2] = [
@@ -1855,7 +1794,7 @@ fn repaired_artifact_cell() -> (
 /// Electricity rule set and measure it end to end — loss-free smoke cells
 /// on `/v1/predict` and `/v1/check`, an overload cell that must shed, and
 /// a hot-swap churn cell whose in-flight answers are pinned byte-identical
-/// to offline evaluation. Every gate the `crr-serving-v1` validator
+/// to offline evaluation. Every gate the `serving_json` validator
 /// re-checks from the file is asserted in-process first.
 fn serving_cmd(scale: f64, path: &str) {
     use crr_discovery::MetricsSink;
@@ -2288,8 +2227,8 @@ fn stream_cell(
 /// `stream`: the incremental-maintenance benchmark — append an unseen tail
 /// through a `crr-stream` maintainer (route + delta + monitor + repair) and
 /// race it against full rediscovery over base+tail. Writes
-/// `BENCH_stream.json` in the `crr-stream-v1` layout that `--check-stream`
-/// / `scripts/ci.sh` re-validate. With `--artifact-out`, also writes the
+/// `BENCH_stream.json` in the [`stream_json`] layout that `--check` /
+/// `scripts/ci.sh` re-validate. With `--artifact-out`, also writes the
 /// electricity cell's proof-carrying repaired artifact.
 fn stream_cmd(scale: f64, path: &str, artifact_out: Option<&str>) {
     let mut records = Vec::new();
@@ -2334,7 +2273,7 @@ fn stream_cmd(scale: f64, path: &str, artifact_out: Option<&str>) {
     );
     let text = stream_json::render(&records);
     // Self-check before writing: never persist a report CI would reject.
-    // At smoke scale the speedup gate does not apply (see crr-stream-v1).
+    // At smoke scale the speedup gate does not apply (see stream_json).
     let summary = stream_json::validate(&text).expect("emitted stream report must validate");
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path} ({summary})");

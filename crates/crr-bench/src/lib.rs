@@ -11,7 +11,7 @@
 //!   time**, **evaluation time**, **#rules** and **RMSE**;
 //! * table formatting for paper-style console output.
 //!
-//! Four submodules emit the machine-readable artifacts the tracked
+//! Five submodules emit the machine-readable artifacts the tracked
 //! benchmark writes and CI re-validates: [`bench_json`]
 //! (`BENCH_discovery.json` — engine timings), [`metrics_json`]
 //! (`metrics.json` — observability snapshots from `crr_obs`-instrumented
@@ -21,7 +21,8 @@
 //! (`BENCH_serving.json` — live `crr-serve` latency/throughput cells plus
 //! the hot-swap admission-gate cell) and [`stream_json`]
 //! (`BENCH_stream.json` — incremental maintenance via `crr-stream` against
-//! full rediscovery on appended slices, gated on the speedup floor). All
+//! full rediscovery on appended slices, gated on the speedup floor). They
+//! share one reader, writer and schema registry, [`artifact`]. All
 //! schemas are documented in `EXPERIMENTS.md`, section "Benchmark
 //! artifact schemas".
 
@@ -46,6 +47,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub mod analysis_json;
+pub mod artifact;
 pub mod bench_json;
 pub mod metrics_json;
 pub mod serving_json;
@@ -249,8 +251,6 @@ pub struct CrrOptions {
     /// Fit engine: incremental sufficient statistics (the default) or the
     /// row-rescan baseline it is benchmarked against.
     pub engine: FitEngine,
-    /// Worker threads for the shared-pool probe scan (1 = sequential).
-    pub pool_scan_threads: usize,
 }
 
 impl Default for CrrOptions {
@@ -265,7 +265,6 @@ impl Default for CrrOptions {
             generator: None,
             budget: None,
             engine: FitEngine::Moments,
-            pool_scan_threads: 1,
         }
     }
 }
@@ -281,8 +280,7 @@ pub fn crr_inputs(sc: &Scenario, opts: &CrrOptions) -> (DiscoveryConfig, Predica
         .with_kind(opts.kind)
         .with_order(opts.order)
         .with_sharing(opts.share)
-        .with_engine(opts.engine)
-        .with_pool_scan_threads(opts.pool_scan_threads);
+        .with_engine(opts.engine);
     if opts.kind == ModelKind::Mlp {
         // Keep per-partition MLP fits affordable in sweeps.
         cfg.fit.mlp.epochs = 60;

@@ -1,16 +1,15 @@
 //! The `metrics.json` artifact: structured observability snapshots from
 //! instrumented discovery runs, written by `experiments -- bench
-//! --metrics-out` and re-validated by `--check-metrics` so a drifted
+//! --metrics-out` and re-validated by `experiments --check` so a drifted
 //! emitter or a broken counter invariant fails CI, not a reader.
 //!
-//! Like [`crate::bench_json`], rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. Every metric's
-//! meaning, unit and paper correspondence, and this file's layout, are
-//! documented in `EXPERIMENTS.md`, section "Benchmark artifact schemas".
+//! Reading, writing and the schema-tag dispatch go through
+//! [`crate::artifact`]. Every metric's meaning, unit and paper
+//! correspondence, and this file's layout, are documented in
+//! `EXPERIMENTS.md`, section "Benchmark artifact schemas".
 
-use crr_obs::json::{esc, parse, Json};
+use crate::artifact::{document, write, Fields, Node, Out};
 use crr_obs::{MetricValue, MetricsSnapshot};
-use std::fmt::Write as _;
 
 /// Schema tag stamped into the file; bump when the layout changes.
 /// v2 added the `shards` section and the `sharded` engine label; v3 added
@@ -74,52 +73,34 @@ pub struct MetricsRun {
 
 /// Renders the runs as pretty-printed JSON with a stable key order.
 pub fn render(runs: &[MetricsRun]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"dataset\": \"{}\",", esc(&r.dataset));
-        let _ = writeln!(out, "      \"rows\": {},", r.rows);
-        let _ = writeln!(out, "      \"engine\": \"{}\",", esc(&r.engine));
-        if let Some(n) = r.expected_fault_events {
-            let _ = writeln!(out, "      \"expected_fault_events\": {n},");
-        }
-        if !r.shard_rows.is_empty() {
-            let counts: Vec<String> = r.shard_rows.iter().map(usize::to_string).collect();
-            let _ = writeln!(out, "      \"shard_rows\": [{}],", counts.join(", "));
-        }
-        let _ = writeln!(out, "      \"metrics\": {}", r.snapshot.to_json(6));
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let runs = runs.iter().map(|r| {
+        let shard_rows: Vec<String> = r.shard_rows.iter().map(usize::to_string).collect();
+        Fields::new()
+            .str("dataset", &r.dataset)
+            .lit("rows", r.rows)
+            .str("engine", &r.engine)
+            .opt("expected_fault_events", r.expected_fault_events)
+            .opt(
+                "shard_rows",
+                (!shard_rows.is_empty()).then(|| format!("[{}]", shard_rows.join(", "))),
+            )
+            .lit("metrics", r.snapshot.to_json(6))
+            .block()
+    });
+    write(SCHEMA, Fields::new().out("runs", Out::List(runs.collect())))
 }
 
-fn uint(obj: &Json, section: &str, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = obj
-        .get(section)
-        .and_then(|s| s.get(key))
-        .ok_or_else(|| format!("{ctx}: missing metric '{section}.{key}'"))?
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: metric '{section}.{key}' is not a number"))?;
-    if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: metric '{section}.{key}' is not a non-negative integer ({v})"
-        ));
-    }
-    Ok(v as u64)
+/// One counter or gauge of a run's `metrics` snapshot.
+fn metric(m: &Node, section: &str, key: &str) -> Result<u64, String> {
+    m.obj(section)?.uint(key)
 }
 
 /// Validates a `metrics.json` document. On success, returns a one-line
 /// summary; on failure, a message naming the first violation.
 ///
 /// Beyond shape (schema tag, non-empty `runs`, every required section
-/// present per run), this enforces the counter invariants the
-/// instrumentation promises:
+/// present per run, an integer `rows`), this enforces the counter
+/// invariants the instrumentation promises:
 ///
 /// * a `moments`-engine run never rescans rows (`fits.rescans == 0`), and
 ///   so does a `sharded` run (which uses the moments engine per shard);
@@ -138,71 +119,52 @@ fn uint(obj: &Json, section: &str, key: &str, ctx: &str) -> Result<u64, String> 
 ///   equals the run's `rows` (no shard plan may lose or duplicate rows),
 ///   and reports a `shards.balance_permille` gauge within `[0, 1000]`;
 ///   non-sharded runs must not carry `shard_rows`;
-/// * `faults.injected_failures` equals `expected_fault_events` when the
-///   run declares one, and zero otherwise;
+/// * `faults.injected_failures` equals `expected_fault_events` (itself a
+///   non-negative integer) when the run declares one, and zero otherwise;
 /// * every run popped at least one partition;
 /// * every `stream.*` counter is zero — these are batch discovery runs,
 ///   and streaming-maintainer activity belongs in `BENCH_stream.json`.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("document: missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'runs' missing or not an array")?;
-    if runs.is_empty() {
-        return Err("'runs' is empty".to_string());
-    }
+    let json = document(text, SCHEMA, "runs")?;
+    let runs = Node::root(&json).arr("runs")?;
     let mut fault_runs = 0usize;
-    for (i, r) in runs.iter().enumerate() {
-        let ctx = format!("runs[{i}]");
-        let engine = r
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'engine'"))?;
+    for r in &runs {
+        let ctx = r.path();
+        let engine = r.str("engine")?;
         if engine != "moments" && engine != "rescan" && engine != "sharded" {
             return Err(format!("{ctx}: unknown engine '{engine}'"));
         }
-        r.get("dataset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'dataset'"))?;
-        let m = r
-            .get("metrics")
-            .ok_or_else(|| format!("{ctx}: missing 'metrics'"))?;
+        r.str("dataset")?;
+        let rows = r.uint("rows")?;
+        let m = r.obj("metrics")?;
         for section in REQUIRED_SECTIONS {
             if m.get(section).is_none() {
                 return Err(format!("{ctx}: metrics missing section '{section}'"));
             }
         }
-        if uint(m, "queue", "pops", &ctx)? == 0 {
+        if metric(&m, "queue", "pops")? == 0 {
             return Err(format!("{ctx}: run popped no partitions"));
         }
         for key in STREAM_COUNTERS {
-            let n = uint(m, "stream", key, &ctx)?;
+            let n = metric(&m, "stream", key)?;
             if n != 0 {
                 return Err(format!(
                     "{ctx}: discovery run recorded {n} 'stream.{key}' event(s)"
                 ));
             }
         }
-        let probes = uint(m, "shards", "cross_pool_probes", &ctx)?;
-        let hits = uint(m, "shards", "cross_pool_hits", &ctx)?;
-        let misses = uint(m, "shards", "cross_pool_misses", &ctx)?;
+        let probes = metric(&m, "shards", "cross_pool_probes")?;
+        let hits = metric(&m, "shards", "cross_pool_hits")?;
+        let misses = metric(&m, "shards", "cross_pool_misses")?;
         if hits + misses != probes {
             return Err(format!(
                 "{ctx}: cross-shard pool accounting does not reconcile \
                  ({hits} hits + {misses} misses != {probes} probes)"
             ));
         }
-        let splits = uint(m, "queue", "splits", &ctx)?;
-        let cscans = uint(m, "kernels", "compiled_scans", &ctx)?;
-        let iscans = uint(m, "kernels", "interpreted_scans", &ctx)?;
+        let splits = metric(&m, "queue", "splits")?;
+        let cscans = metric(&m, "kernels", "compiled_scans")?;
+        let iscans = metric(&m, "kernels", "interpreted_scans")?;
         if cscans + iscans != 2 * splits {
             return Err(format!(
                 "{ctx}: scan-kernel ledger does not balance \
@@ -211,42 +173,31 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
         match engine {
             "moments" | "sharded" => {
-                let rescans = uint(m, "fits", "rescans", &ctx)?;
+                let rescans = metric(&m, "fits", "rescans")?;
                 if rescans != 0 {
                     return Err(format!(
                         "{ctx}: {engine} engine recorded {rescans} row rescans"
                     ));
                 }
                 if engine == "sharded" {
-                    let run = uint(m, "shards", "run", &ctx)?;
+                    let run = metric(&m, "shards", "run")?;
                     if run < 2 {
                         return Err(format!("{ctx}: sharded run executed fewer than 2 shards"));
                     }
-                    let rows = r
-                        .get("rows")
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| format!("{ctx}: missing 'rows'"))?;
-                    let shard_rows = r
-                        .get("shard_rows")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("{ctx}: sharded run missing 'shard_rows'"))?;
+                    let shard_rows = r.arr("shard_rows")?;
                     if shard_rows.len() as u64 != run {
                         return Err(format!(
                             "{ctx}: 'shard_rows' has {} entries but the run executed {run} shards",
                             shard_rows.len()
                         ));
                     }
-                    let mut sum = 0.0f64;
-                    for (j, v) in shard_rows.iter().enumerate() {
-                        let n = v
-                            .as_num()
-                            .ok_or_else(|| format!("{ctx}: shard_rows[{j}] is not a number"))?;
-                        if !n.is_finite() || n < 1.0 || n.fract() != 0.0 {
-                            return Err(format!(
-                                "{ctx}: shard_rows[{j}] is not a positive integer ({n})"
-                            ));
+                    let mut sum = 0u64;
+                    for n in &shard_rows {
+                        let v = n.as_uint()?;
+                        if v == 0 {
+                            return Err(format!("{}: empty shard", n.path()));
                         }
-                        sum += n;
+                        sum += v;
                     }
                     if sum != rows {
                         return Err(format!(
@@ -254,7 +205,7 @@ pub fn validate(text: &str) -> Result<String, String> {
                              ({sum} != {rows}) — the plan lost or duplicated rows"
                         ));
                     }
-                    let balance = uint(m, "shards", "balance_permille", &ctx)?;
+                    let balance = metric(&m, "shards", "balance_permille")?;
                     if balance > 1000 {
                         return Err(format!(
                             "{ctx}: shards.balance_permille gauge out of range ({balance})"
@@ -264,12 +215,12 @@ pub fn validate(text: &str) -> Result<String, String> {
             }
             _ => {
                 for key in ["moments_solves", "declined_singular"] {
-                    let n = uint(m, "fits", key, &ctx)?;
+                    let n = metric(&m, "fits", key)?;
                     if n != 0 {
                         return Err(format!("{ctx}: rescan engine recorded {n} '{key}' events"));
                     }
                 }
-                let adds = uint(m, "moments", "add_row_ops", &ctx)?;
+                let adds = metric(&m, "moments", "add_row_ops")?;
                 if adds != 0 {
                     return Err(format!(
                         "{ctx}: rescan engine recorded {adds} moments add-row ops"
@@ -282,11 +233,12 @@ pub fn validate(text: &str) -> Result<String, String> {
                 "{ctx}: '{engine}' run carries 'shard_rows' (sharded runs only)"
             ));
         }
-        let injected = uint(m, "faults", "injected_failures", &ctx)?;
-        match r.get("expected_fault_events").and_then(Json::as_num) {
+        let injected = metric(&m, "faults", "injected_failures")?;
+        match r.get("expected_fault_events") {
             Some(expected) => {
                 fault_runs += 1;
-                if injected != expected as u64 {
+                let expected = expected.as_uint()?;
+                if injected != expected {
                     return Err(format!(
                         "{ctx}: expected {expected} injected fault(s), recorded {injected}"
                     ));
@@ -493,11 +445,49 @@ mod tests {
     }
 
     #[test]
-    fn empty_or_mislabeled_documents_are_rejected() {
-        assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-metrics-v6\", \"runs\": []}").is_err());
-        assert!(validate("{\"schema\": \"other\", \"runs\": [1]}").is_err());
-        // The v5 tag is stale now that sharded runs carry shard_rows.
-        assert!(validate("{\"schema\": \"crr-metrics-v5\", \"runs\": [1]}").is_err());
+    fn expected_fault_events_must_be_a_non_negative_integer() {
+        // A fractional count must not truncate onto the recorded one, a
+        // negative one must not saturate to zero, and a mistyped string
+        // must not read as a clean run.
+        let mut runs = sample();
+        runs[0].expected_fault_events = Some(0);
+        let text = render(&runs);
+        for (from, to) in [
+            (
+                "\"expected_fault_events\": 1,",
+                "\"expected_fault_events\": 1.5,",
+            ),
+            (
+                "\"expected_fault_events\": 0,",
+                "\"expected_fault_events\": -1,",
+            ),
+            (
+                "\"expected_fault_events\": 0,",
+                "\"expected_fault_events\": \"2\",",
+            ),
+        ] {
+            assert!(text.contains(from));
+            let err = validate(&text.replacen(from, to, 1)).expect_err(to);
+            assert!(err.contains("expected_fault_events"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rows_must_be_an_integer_on_every_run() {
+        let text = render(&sample()).replacen("\"rows\": 2880,", "\"rows\": 2880.5,", 1);
+        let err = validate(&text).expect_err("fractional rows");
+        assert!(err.contains("runs[0].rows"), "{err}");
+        let mut runs = vec![sharded_run()];
+        runs[0].rows = 11_520;
+        let text = render(&runs).replacen("\"rows\": 11520,", "\"rows\": 11520.0001,", 1);
+        let err = validate(&text).expect_err("fractional sharded rows");
+        assert!(err.contains("runs[0].rows"), "{err}");
+    }
+
+    #[test]
+    fn fixture_renders_byte_identical_to_the_golden_file() {
+        let mut runs = sample();
+        runs.push(sharded_run());
+        assert_eq!(render(&runs), include_str!("../golden/metrics.json"));
     }
 }

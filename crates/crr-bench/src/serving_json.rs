@@ -1,16 +1,15 @@
 //! Tracked serving benchmark output: the `serving` experiment stands up a
 //! live `crr-serve` server, drives it with the closed-loop load generator
 //! in `crr_serve::client`, and writes `BENCH_serving.json`; CI
-//! (`scripts/ci.sh --check-serving`) re-parses and validates it so a
-//! regressed emitter or a degraded serving run fails the build.
+//! (`scripts/ci.sh`, through `experiments --check`) re-parses and
+//! validates it so a regressed emitter or a degraded serving run fails the
+//! build.
 //!
-//! Like the sibling emitters, rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The schema is
-//! documented field by field in `EXPERIMENTS.md`, section "Benchmark
-//! artifact schemas".
+//! Reading, writing and the schema-tag dispatch go through
+//! [`crate::artifact`]. The schema is documented field by field in
+//! `EXPERIMENTS.md`, section "Benchmark artifact schemas".
 
-use crr_obs::json::{esc, num, parse, Json};
-use std::fmt::Write as _;
+use crate::artifact::{document, write, Fields, Node, Out};
 
 /// Schema tag stamped into the file; bump when the layout changes.
 pub const SCHEMA: &str = "crr-serving-v1";
@@ -106,81 +105,37 @@ pub struct ServingReport {
 
 /// Renders the report as pretty-printed JSON with a stable key order.
 pub fn render(report: &ServingReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in report.records.iter().enumerate() {
-        let comma = if i + 1 < report.records.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"rows\": {}, \"endpoint\": \"{}\", \
-             \"mode\": \"{}\", \"clients\": {}, \"requests\": {}, \"completed\": {}, \
-             \"batch_rows\": {}, \"shed\": {}, \"timeouts\": {}, \"errors\": {}, \
-             \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \
-             \"throughput_rps\": {}}}{comma}",
-            esc(&r.dataset),
-            r.rows,
-            esc(&r.endpoint),
-            r.mode.label(),
-            r.clients,
-            r.requests,
-            r.completed,
-            r.batch_rows,
-            r.shed,
-            r.timeouts,
-            r.errors,
-            num(r.p50_ms),
-            num(r.p90_ms),
-            num(r.p99_ms),
-            num(r.max_ms),
-            num(r.throughput_rps),
-        );
-    }
-    let _ = writeln!(out, "  ],");
+    let records = report.records.iter().map(|r| {
+        Fields::new()
+            .str("dataset", &r.dataset)
+            .lit("rows", r.rows)
+            .str("endpoint", &r.endpoint)
+            .str("mode", r.mode.label())
+            .lit("clients", r.clients)
+            .lit("requests", r.requests)
+            .lit("completed", r.completed)
+            .lit("batch_rows", r.batch_rows)
+            .lit("shed", r.shed)
+            .lit("timeouts", r.timeouts)
+            .lit("errors", r.errors)
+            .num("p50_ms", r.p50_ms)
+            .num("p90_ms", r.p90_ms)
+            .num("p99_ms", r.p99_ms)
+            .num("max_ms", r.max_ms)
+            .num("throughput_rps", r.throughput_rps)
+            .inline()
+    });
     let s = &report.swaps;
-    let _ = writeln!(
-        out,
-        "  \"swaps\": {{\"accepted\": {}, \"rejected\": {}, \"generation\": {}, \
-         \"predictions_pinned\": {}}}",
-        s.accepted, s.rejected, s.generation, s.predictions_pinned
-    );
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn finite_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?;
-    let x = v
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a number (got {v:?})"))?;
-    if !x.is_finite() {
-        return Err(format!("{ctx}: key '{key}' is non-finite"));
-    }
-    Ok(x)
-}
-
-fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let x = finite_num(obj, key, ctx)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: key '{key}' is not a non-negative integer ({x})"
-        ));
-    }
-    Ok(x as u64)
-}
-
-fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a string"))
+    let swaps = Fields::new()
+        .lit("accepted", s.accepted)
+        .lit("rejected", s.rejected)
+        .lit("generation", s.generation)
+        .lit("predictions_pinned", s.predictions_pinned)
+        .inline();
+    let body = Fields::new()
+        .out("records", Out::List(records.collect()))
+        .out("swaps", swaps);
+    write(SCHEMA, body)
 }
 
 /// Validates a `BENCH_serving.json` document. On success, returns a
@@ -201,56 +156,47 @@ fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
 /// of the admission gate exercised), `generation == accepted`, and
 /// `predictions_pinned` true.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = str_key(&doc, "schema", "document")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'records' missing or not an array")?;
-    if records.is_empty() {
-        return Err("'records' is empty".to_string());
-    }
+    let json = document(text, SCHEMA, "records")?;
+    let doc = Node::root(&json);
+    let records = doc.arr("records")?;
     let (mut smoke, mut overload) = (0usize, 0usize);
-    for (i, r) in records.iter().enumerate() {
-        let ctx = format!("records[{i}]");
-        str_key(r, "dataset", &ctx)?;
-        let endpoint = str_key(r, "endpoint", &ctx)?;
+    for r in &records {
+        let ctx = r.path();
+        r.str("dataset")?;
+        let endpoint = r.str("endpoint")?;
         if !endpoint.starts_with("/v1/") {
             return Err(format!("{ctx}: unknown endpoint '{endpoint}'"));
         }
-        if uint(r, "rows", &ctx)? == 0 || uint(r, "batch_rows", &ctx)? == 0 {
+        if r.uint("rows")? == 0 || r.uint("batch_rows")? == 0 {
             return Err(format!("{ctx}: empty instance or batch"));
         }
-        if uint(r, "clients", &ctx)? == 0 {
+        if r.uint("clients")? == 0 {
             return Err(format!("{ctx}: no clients"));
         }
-        let requests = uint(r, "requests", &ctx)?;
-        let completed = uint(r, "completed", &ctx)?;
+        let requests = r.uint("requests")?;
+        let completed = r.uint("completed")?;
         if requests == 0 || completed > requests {
             return Err(format!(
                 "{ctx}: implausible request accounting ({completed}/{requests})"
             ));
         }
-        let shed = uint(r, "shed", &ctx)?;
-        let timeouts = uint(r, "timeouts", &ctx)?;
-        let errors = uint(r, "errors", &ctx)?;
-        let p50 = finite_num(r, "p50_ms", &ctx)?;
-        let p90 = finite_num(r, "p90_ms", &ctx)?;
-        let p99 = finite_num(r, "p99_ms", &ctx)?;
-        let max = finite_num(r, "max_ms", &ctx)?;
+        let shed = r.uint("shed")?;
+        let timeouts = r.uint("timeouts")?;
+        let errors = r.uint("errors")?;
+        let p50 = r.num("p50_ms")?;
+        let p90 = r.num("p90_ms")?;
+        let p99 = r.num("p99_ms")?;
+        let max = r.num("max_ms")?;
         if !(0.0 <= p50 && p50 <= p90 && p90 <= p99 && p99 <= max) {
             return Err(format!(
                 "{ctx}: latency quantiles out of order (p50={p50}, p90={p90}, p99={p99}, max={max})"
             ));
         }
-        let rps = finite_num(r, "throughput_rps", &ctx)?;
+        let rps = r.num("throughput_rps")?;
         if completed > 0 && rps <= 0.0 {
             return Err(format!("{ctx}: completed {completed} but throughput {rps}"));
         }
-        match str_key(r, "mode", &ctx)? {
+        match r.str("mode")? {
             "smoke" => {
                 smoke += 1;
                 if shed != 0 || timeouts != 0 || errors != 0 || completed != requests {
@@ -279,10 +225,10 @@ pub fn validate(text: &str) -> Result<String, String> {
             "need both modes measured (smoke={smoke}, overload={overload})"
         ));
     }
-    let swaps = doc.get("swaps").ok_or("document: missing 'swaps' cell")?;
-    let accepted = uint(swaps, "accepted", "swaps")?;
-    let rejected = uint(swaps, "rejected", "swaps")?;
-    let generation = uint(swaps, "generation", "swaps")?;
+    let swaps = doc.obj("swaps")?;
+    let accepted = swaps.uint("accepted")?;
+    let rejected = swaps.uint("rejected")?;
+    let generation = swaps.uint("generation")?;
     if accepted == 0 || rejected == 0 {
         return Err(format!(
             "swaps: both gate outcomes must be exercised (accepted={accepted}, rejected={rejected})"
@@ -293,10 +239,8 @@ pub fn validate(text: &str) -> Result<String, String> {
             "swaps: generation {generation} != accepted {accepted}"
         ));
     }
-    match swaps.get("predictions_pinned").and_then(Json::as_bool) {
-        Some(true) => {}
-        Some(false) => return Err("swaps: predictions diverged from offline evaluation".into()),
-        None => return Err("swaps: missing 'predictions_pinned'".into()),
+    if !swaps.bool("predictions_pinned")? {
+        return Err("swaps: predictions diverged from offline evaluation".into());
     }
     Ok(format!(
         "ok: {} cell(s) ({smoke} smoke, {overload} overload), \
@@ -413,9 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_or_mislabeled_documents_are_rejected() {
-        assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-serving-v1\", \"records\": []}").is_err());
-        assert!(validate("{\"schema\": \"other\", \"records\": [1]}").is_err());
+    fn fixture_renders_byte_identical_to_the_golden_file() {
+        assert_eq!(render(&report()), include_str!("../golden/serving.json"));
     }
 }

@@ -2,17 +2,15 @@
 //! experiment discovers on a base slice, replays an appended tail through
 //! a `crr_stream::StreamEngine` (batched appends + one partition-scoped
 //! repair), measures the same end state reached by full rediscovery over
-//! base+tail, and writes `BENCH_stream.json`; CI (`scripts/ci.sh
-//! --check-stream`) re-parses and validates it so a regressed emitter or
-//! a lost incremental advantage fails the build.
+//! base+tail, and writes `BENCH_stream.json`; CI (`scripts/ci.sh`,
+//! through `experiments --check`) re-parses and validates it so a
+//! regressed emitter or a lost incremental advantage fails the build.
 //!
-//! Like the sibling emitters, rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The schema is
-//! documented field by field in `EXPERIMENTS.md`, section "Benchmark
-//! artifact schemas".
+//! Reading, writing and the schema-tag dispatch go through
+//! [`crate::artifact`]. The schema is documented field by field in
+//! `EXPERIMENTS.md`, section "Benchmark artifact schemas".
 
-use crr_obs::json::{esc, num, parse, Json};
-use std::fmt::Write as _;
+use crate::artifact::{document, write, Fields, Node, Out};
 
 /// Schema tag stamped into the file; bump when the layout changes.
 pub const SCHEMA: &str = "crr-stream-v1";
@@ -69,70 +67,30 @@ pub struct StreamRecord {
 
 /// Renders the records as pretty-printed JSON with a stable key order.
 pub fn render(records: &[StreamRecord]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"base_rows\": {}, \"appended_rows\": {}, \
-             \"batches\": {}, \"routed_pairs\": {}, \"uncovered_rows\": {}, \
-             \"violations\": {}, \"drifted_rules\": {}, \"repair_affected_rows\": {}, \
-             \"rules_before\": {}, \"rules_after\": {}, \"incremental_ms\": {}, \
-             \"full_ms\": {}, \"speedup\": {}, \"sound\": {}, \
-             \"swap_served_identical\": {}}}{comma}",
-            esc(&r.dataset),
-            r.base_rows,
-            r.appended_rows,
-            r.batches,
-            r.routed_pairs,
-            r.uncovered_rows,
-            r.violations,
-            r.drifted_rules,
-            r.repair_affected_rows,
-            r.rules_before,
-            r.rules_after,
-            num(r.incremental_ms),
-            num(r.full_ms),
-            num(r.speedup),
-            r.sound,
-            r.swap_served_identical,
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn finite_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?;
-    let x = v
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a number (got {v:?})"))?;
-    if !x.is_finite() {
-        return Err(format!("{ctx}: key '{key}' is non-finite"));
-    }
-    Ok(x)
-}
-
-fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let x = finite_num(obj, key, ctx)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: key '{key}' is not a non-negative integer ({x})"
-        ));
-    }
-    Ok(x as u64)
-}
-
-fn bool_key(obj: &Json, key: &str, ctx: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: key '{key}' missing or not a boolean"))
+    let records = records.iter().map(|r| {
+        Fields::new()
+            .str("dataset", &r.dataset)
+            .lit("base_rows", r.base_rows)
+            .lit("appended_rows", r.appended_rows)
+            .lit("batches", r.batches)
+            .lit("routed_pairs", r.routed_pairs)
+            .lit("uncovered_rows", r.uncovered_rows)
+            .lit("violations", r.violations)
+            .lit("drifted_rules", r.drifted_rules)
+            .lit("repair_affected_rows", r.repair_affected_rows)
+            .lit("rules_before", r.rules_before)
+            .lit("rules_after", r.rules_after)
+            .num("incremental_ms", r.incremental_ms)
+            .num("full_ms", r.full_ms)
+            .num("speedup", r.speedup)
+            .lit("sound", r.sound)
+            .lit("swap_served_identical", r.swap_served_identical)
+            .inline()
+    });
+    write(
+        SCHEMA,
+        Fields::new().out("records", Out::List(records.collect())),
+    )
 }
 
 /// Validates a `BENCH_stream.json` document. On success, returns a
@@ -151,66 +109,54 @@ fn bool_key(obj: &Json, key: &str, ctx: &str) -> Result<bool, String> {
 /// `electricity` record with `base_rows >= 11520` must show `speedup >=
 /// 5`.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("document: missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'records' missing or not an array")?;
-    if records.is_empty() {
-        return Err("'records' is empty".to_string());
-    }
+    let json = document(text, SCHEMA, "records")?;
+    let records = Node::root(&json).arr("records")?;
     let mut gated = 0usize;
     let mut best = 0.0f64;
-    for (i, r) in records.iter().enumerate() {
-        let ctx = format!("records[{i}]");
-        let dataset = r
-            .get("dataset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'dataset'"))?;
-        let base = uint(r, "base_rows", &ctx)?;
-        let appended = uint(r, "appended_rows", &ctx)?;
+    for r in &records {
+        let ctx = r.path();
+        let dataset = r.str("dataset")?;
+        let base = r.uint("base_rows")?;
+        let appended = r.uint("appended_rows")?;
         if base == 0 || appended == 0 {
             return Err(format!("{ctx}: empty base or tail"));
         }
-        if uint(r, "batches", &ctx)? == 0 {
+        if r.uint("batches")? == 0 {
             return Err(format!("{ctx}: tail streamed in zero batches"));
         }
-        if uint(r, "uncovered_rows", &ctx)? > appended {
+        if r.uint("uncovered_rows")? > appended {
             return Err(format!("{ctx}: more uncovered rows than appended rows"));
         }
-        uint(r, "routed_pairs", &ctx)?;
-        uint(r, "violations", &ctx)?;
-        uint(r, "drifted_rules", &ctx)?;
-        uint(r, "repair_affected_rows", &ctx)?;
-        uint(r, "rules_before", &ctx)?;
-        if uint(r, "rules_after", &ctx)? == 0 {
+        for key in [
+            "routed_pairs",
+            "violations",
+            "drifted_rules",
+            "repair_affected_rows",
+            "rules_before",
+        ] {
+            r.uint(key)?;
+        }
+        if r.uint("rules_after")? == 0 {
             return Err(format!("{ctx}: repaired rule set is empty"));
         }
-        let inc = finite_num(r, "incremental_ms", &ctx)?;
-        let full = finite_num(r, "full_ms", &ctx)?;
+        let inc = r.num("incremental_ms")?;
+        let full = r.num("full_ms")?;
         if inc <= 0.0 || full <= 0.0 {
             return Err(format!(
                 "{ctx}: non-positive timing (incremental={inc}, full={full})"
             ));
         }
-        let speedup = finite_num(r, "speedup", &ctx)?;
+        let speedup = r.num("speedup")?;
         let derived = full / inc;
         if (speedup - derived).abs() > 0.01 * derived.max(1.0) {
             return Err(format!(
                 "{ctx}: speedup {speedup} inconsistent with {full} / {inc} = {derived}"
             ));
         }
-        if !bool_key(r, "sound", &ctx)? {
+        if !r.bool("sound")? {
             return Err(format!("{ctx}: repaired artifact failed the verifier"));
         }
-        if !bool_key(r, "swap_served_identical", &ctx)? {
+        if !r.bool("swap_served_identical")? {
             return Err(format!(
                 "{ctx}: served answers diverged from offline evaluation after the swap"
             ));
@@ -311,9 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_or_mislabeled_documents_are_rejected() {
-        assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-stream-v1\", \"records\": []}").is_err());
-        assert!(validate("{\"schema\": \"other\", \"records\": [1]}").is_err());
+    fn fixture_renders_byte_identical_to_the_golden_file() {
+        assert_eq!(
+            render(&[record(11_520)]),
+            include_str!("../golden/stream.json")
+        );
     }
 }

@@ -187,46 +187,6 @@ impl<'a> RuleIndex<'a> {
         predict_at(rule, conj, table, row)
     }
 
-    /// *All* `(rule, conjunction)` index pairs whose conjunction covers
-    /// `row`, in ascending `(rule, conjunction)` order — the maintenance
-    /// side's coverage query. Where [`RuleIndex::locate`] stops at the
-    /// first match (serving semantics), a write-time monitor must charge a
-    /// changed row to *every* rule whose condition claims it, because each
-    /// such rule's bias bound is a separate obligation on that row.
-    pub fn covering(&self, table: &Table, row: usize) -> Vec<(usize, usize)> {
-        let (bounded, unbounded): (&[Candidate], &[Candidate]) = match self.attr {
-            None => {
-                // Nothing was indexed: evaluate every conjunction in order.
-                let mut out = Vec::new();
-                for (ri, rule) in self.rules.rules().iter().enumerate() {
-                    for (ci, conj) in rule.condition().conjuncts().iter().enumerate() {
-                        if conj.eval(table, row) {
-                            out.push((ri, ci));
-                        }
-                    }
-                }
-                return out;
-            }
-            Some(attr) => match table.value_f64(row, attr) {
-                None => (&[], self.unbounded.as_slice()),
-                Some(v) => {
-                    let seg = self.boundaries.partition_point(|&b| b <= v);
-                    (self.segments[seg].as_slice(), self.unbounded.as_slice())
-                }
-            },
-        };
-        let mut out = Vec::new();
-        merge_all(
-            bounded,
-            unbounded,
-            |c| self.conjunction(c).eval(table, row),
-            |c| {
-                out.push((c.rule as usize, c.conj as usize));
-            },
-        );
-        out
-    }
-
     /// RMSE evaluation over `rows` via the index — the accelerated
     /// counterpart of [`RuleSet::evaluate`].
     pub fn evaluate(&self, table: &Table, rows: &RowSet) -> crate::ruleset::EvalReport {
@@ -283,10 +243,20 @@ impl<'a> RuleIndex<'a> {
                     .collect()
             })
             .collect();
+        let scan_all = match self.attr {
+            Some(_) => Vec::new(),
+            None => (0..self.rules.len() as u32)
+                .flat_map(|rule| {
+                    let conjs = self.rules.rules()[rule as usize].condition().conjuncts();
+                    (0..conjs.len() as u32).map(move |conj| Candidate { rule, conj })
+                })
+                .collect(),
+        };
         CompiledIndex {
             index: self,
             table,
             compiled,
+            scan_all,
         }
     }
 }
@@ -366,38 +336,64 @@ fn merge_all(
 /// A [`RuleIndex`] with every conjunction pre-compiled against one table
 /// (see [`RuleIndex::compile`]): attribute → column resolution and constant
 /// typing happen once at build, so the per-row checks inside `locate`,
-/// `predict`, `evaluate` and `covers` are branch-light column reads.
+/// `predict`, `evaluate`, `covers` and `covering` are branch-light column
+/// reads.
 #[derive(Debug)]
 pub struct CompiledIndex<'a, 't> {
     index: &'a RuleIndex<'a>,
     table: &'t Table,
     /// `compiled[rule][conj]`, parallel to the rule set's conjunctions.
     compiled: Vec<Vec<CompiledConjunction<'t>>>,
+    /// Every conjunction in rule order when nothing was indexed (the scan
+    /// fallback), empty otherwise.
+    scan_all: Vec<Candidate>,
 }
 
 impl<'a> CompiledIndex<'a, '_> {
     /// Compiled counterpart of [`RuleIndex::locate`] — identical result.
     pub fn locate(&self, row: usize) -> Option<(&'a Crr, &'a Conjunction)> {
-        let sat = |c: Candidate| self.compiled[c.rule as usize][c.conj as usize].eval_row(row);
+        let (a, b) = self.candidates(row);
+        merge_first(a, b, |c| self.sat(c, row)).map(|c| self.index.resolve(c))
+    }
+
+    /// *All* `(rule, conjunction)` index pairs whose conjunction covers
+    /// `row`, in ascending `(rule, conjunction)` order — the coverage query
+    /// of stream maintenance and violation checking. Where
+    /// [`Self::locate`] stops at the first match (serving semantics), a
+    /// constraint check must charge a row to *every* rule whose condition
+    /// claims it, because each such rule's bias bound is a separate
+    /// obligation on that row.
+    pub fn covering(&self, row: usize) -> Vec<(usize, usize)> {
+        let (a, b) = self.candidates(row);
+        let mut out = Vec::new();
+        merge_all(
+            a,
+            b,
+            |c| self.sat(c, row),
+            |c| out.push((c.rule as usize, c.conj as usize)),
+        );
+        out
+    }
+
+    /// The two sorted candidate lists a lookup at `row` merges: every
+    /// conjunction when nothing was indexed; otherwise the row's segment
+    /// plus the unbounded conjunctions, or only the latter when the row is
+    /// null on the indexed attribute (predicates over null are false).
+    fn candidates(&self, row: usize) -> (&[Candidate], &[Candidate]) {
         let Some(attr) = self.index.attr else {
-            // Nothing was worth indexing: scan all conjunctions in rule
-            // order, same as the interpreted fallback.
-            let all: Vec<Candidate> = (0..self.compiled.len() as u32)
-                .flat_map(|rule| {
-                    (0..self.compiled[rule as usize].len() as u32)
-                        .map(move |conj| Candidate { rule, conj })
-                })
-                .collect();
-            return merge_first(&all, &[], sat).map(|c| self.index.resolve(c));
+            return (&self.scan_all, &[]);
         };
-        let c = match self.table.value_f64(row, attr) {
-            None => merge_first(&self.index.unbounded, &[], sat)?,
+        match self.table.value_f64(row, attr) {
+            None => (&[], &self.index.unbounded),
             Some(v) => {
                 let seg = self.index.boundaries.partition_point(|&b| b <= v);
-                merge_first(&self.index.segments[seg], &self.index.unbounded, sat)?
+                (&self.index.segments[seg], &self.index.unbounded)
             }
-        };
-        Some(self.index.resolve(c))
+        }
+    }
+
+    fn sat(&self, c: Candidate, row: usize) -> bool {
+        self.compiled[c.rule as usize][c.conj as usize].eval_row(row)
     }
 
     /// Compiled counterpart of [`RuleIndex::predict`].
@@ -651,7 +647,8 @@ mod tests {
         assert_eq!(ea.rmse.to_bits(), eb.rmse.to_bits());
     }
 
-    /// Brute-force oracle for `covering`: evaluate every conjunction.
+    /// Brute-force oracle for `CompiledIndex::covering`: evaluate every
+    /// conjunction through the interpreter.
     fn covering_scan(rules: &RuleSet, t: &Table, row: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (ri, rule) in rules.rules().iter().enumerate() {
@@ -675,15 +672,16 @@ mod tests {
         rules.push(Crr::new(vec![x()], y(), model, 0.5, Dnf::tautology()).unwrap());
         let idx = RuleIndex::build(&rules, &t);
         assert_eq!(idx.indexed_attr(), Some(x()));
+        let fast = idx.compile(&t);
         for row in 0..t.num_rows() {
             assert_eq!(
-                idx.covering(&t, row),
+                fast.covering(row),
                 covering_scan(&rules, &t, row),
                 "row {row}"
             );
         }
         assert_eq!(
-            idx.covering(&t, 3),
+            fast.covering(3),
             vec![(1, 0)],
             "null row hits only the catch-all"
         );
@@ -695,9 +693,10 @@ mod tests {
         let rules = segmented_rules(2, 10.0); // unindexable: linear scan
         let idx = RuleIndex::build(&rules, &t);
         assert_eq!(idx.indexed_attr(), None);
+        let fast = idx.compile(&t);
         for row in 0..t.num_rows() {
             assert_eq!(
-                idx.covering(&t, row),
+                fast.covering(row),
                 covering_scan(&rules, &t, row),
                 "row {row}"
             );

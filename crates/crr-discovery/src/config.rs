@@ -124,13 +124,6 @@ pub struct DiscoveryConfig {
     /// Predicate-evaluation path for the scan hot loops; see
     /// [`ScanKernel`]. Both settings produce byte-identical rule sets.
     pub kernel: ScanKernel,
-    /// Worker threads for the shared-pool scan at each pop (lines 7–10).
-    /// `1` scans sequentially; higher values fan the per-model share tests
-    /// out over scoped threads once the pool and partition are large enough
-    /// to amortize the spawns. Results are identical either way. Bounds
-    /// only the *within-run* scan — shard-level parallelism is
-    /// [`Self::shard_threads`]. Must be ≥ 1 ([`Self::validate`]).
-    pub pool_scan_threads: usize,
     /// Worker threads for shard-level parallelism in sharded discovery:
     /// how many non-seed shards run Algorithm 1 concurrently. `1` runs
     /// shards sequentially; results are identical either way (the
@@ -165,7 +158,6 @@ impl DiscoveryConfig {
             faults: None,
             engine: FitEngine::Moments,
             kernel: ScanKernel::Compiled,
-            pool_scan_threads: 1,
             shard_threads: 1,
             metrics: MetricsSink::disabled(),
         }
@@ -180,13 +172,6 @@ impl DiscoveryConfig {
     /// Switches the predicate-evaluation path for the scan hot loops.
     pub fn with_kernel(mut self, kernel: ScanKernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the shared-pool scan parallelism (1 = sequential). Zero is
-    /// rejected by [`Self::validate`] at run entry, not silently clamped.
-    pub fn with_pool_scan_threads(mut self, threads: usize) -> Self {
-        self.pool_scan_threads = threads;
         self
     }
 
@@ -242,13 +227,8 @@ impl DiscoveryConfig {
     }
 
     /// Checks the config for self-contradictions every entry point rejects
-    /// up front: zero scan threads or zero shard threads.
+    /// up front: zero shard threads.
     pub fn validate(&self) -> Result<(), crate::DiscoveryError> {
-        if self.pool_scan_threads == 0 {
-            return Err(crate::DiscoveryError::InvalidConfig(
-                "pool_scan_threads must be at least 1".to_string(),
-            ));
-        }
         if self.shard_threads == 0 {
             return Err(crate::DiscoveryError::InvalidConfig(
                 "shard_threads must be at least 1".to_string(),
@@ -296,18 +276,10 @@ mod tests {
         let cfg = DiscoveryConfig::new(vec![AttrId(0)], AttrId(1), 0.5);
         assert!(cfg.validate().is_ok());
         assert!(matches!(
-            cfg.clone().with_pool_scan_threads(0).validate(),
-            Err(crate::DiscoveryError::InvalidConfig(_))
-        ));
-        assert!(matches!(
             cfg.clone().with_shard_threads(0).validate(),
             Err(crate::DiscoveryError::InvalidConfig(_))
         ));
-        assert!(cfg
-            .with_pool_scan_threads(8)
-            .with_shard_threads(4)
-            .validate()
-            .is_ok());
+        assert!(cfg.with_shard_threads(4).validate().is_ok());
     }
 
     #[test]

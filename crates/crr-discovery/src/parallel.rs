@@ -102,8 +102,7 @@ fn run_isolated(table: &Table, rows: &RowSet, task: &Task, index: usize) -> Resu
 }
 
 /// Parallel first-match scan with early termination — the engine behind the
-/// shared-pool probe of Algorithm 1's lines 7–10 when
-/// [`crate::DiscoveryConfig::pool_scan_threads`] > 1.
+/// work-stealing cross-shard pool probe of Algorithm 1's lines 7–10.
 ///
 /// Evaluates `eval(i)` for `i < count` across up to `threads` scoped
 /// workers; `eval` returns `(payload, matched)`. Returns the lowest matched

@@ -37,10 +37,7 @@
 //!
 //! The shared-pool scan short-circuits a probe as soon as its running
 //! maximum deviation exceeds `ρ_M` *and* the remaining rows provably cannot
-//! raise `ind(C)` above the best already seen — and optionally fans the
-//! per-model probes across scoped threads
-//! ([`crate::parallel::first_match_scan`]) with results byte-identical to
-//! the sequential scan.
+//! raise `ind(C)` above the best already seen.
 
 use crate::{
     DiscoveryConfig, DiscoveryError, DiscoveryOutcome, FitEngine, PredicateSpace, QueueOrder,
@@ -58,10 +55,6 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Minimum `|pool| × |fit rows|` before the shared-pool scan fans out over
-/// threads — below this the probes are cheaper than the spawns.
-const PARALLEL_SCAN_MIN_WORK: usize = 4096;
 
 /// Counters describing one discovery run — the raw material of the paper's
 /// learning-time and #rules plots.
@@ -405,63 +398,21 @@ pub(crate) fn run_search(
             mx.incr(Ctr::PoolScans);
             let t_scan = mx.span();
             let order_uses_ind = !matches!(cfg.order, QueueOrder::Random(_));
-            let parallel_scan = cfg.pool_scan_threads > 1
-                && pool.len() >= 2
-                && pool.len().saturating_mul(fit.len()) >= PARALLEL_SCAN_MIN_WORK;
-            if parallel_scan {
-                // When the queue order consumes ind(C), workers evaluate
-                // every row: first_match_scan guarantees each probe at or
-                // below the winning index completes, so aggregating over
-                // that prefix reproduces the sequential ind exactly. Under
-                // Random order ind is never read and misses may abort early.
+            for (i, f) in pool.iter().enumerate() {
                 let mode = if order_uses_ind {
-                    ScanMode::Full
+                    ScanMode::AbortBelowFloor(best_within)
                 } else {
                     ScanMode::AbortOnMiss
                 };
-                let (winner, probes) =
-                    crate::parallel::first_match_scan(pool.len(), cfg.pool_scan_threads, |i| {
-                        let mut buf = Vec::new();
-                        let p =
-                            share_probe(pool[i].as_ref(), &snap, &fit, cfg.rho_max, &mut buf, mode);
-                        let matched = p.max_dev <= cfg.rho_max;
-                        (p, matched)
-                    });
-                mx.incr(Ctr::PoolParallelScans);
-                // Metrics determinism: only the prefix at or below the
-                // winner is guaranteed fully evaluated, so only it is
-                // counted; speculative probes past the winner vary between
-                // runs and are discarded unobserved.
-                let scanned = winner.map_or(pool.len(), |w| w + 1);
-                mx.add(Ctr::PoolProbes, scanned as u64);
-                for p in probes.iter().take(scanned).flatten() {
-                    best_within = best_within.max(p.within);
-                    if p.truncated {
-                        mx.incr(Ctr::PoolShortCircuits);
-                    }
+                let p = share_probe(f.as_ref(), &snap, &fit, cfg.rho_max, &mut resid, mode);
+                mx.incr(Ctr::PoolProbes);
+                if p.truncated {
+                    mx.incr(Ctr::PoolShortCircuits);
                 }
-                if let Some(w) = winner {
-                    if let Some(p) = &probes[w] {
-                        shared = Some((w, p.max_dev, p.delta0));
-                    }
-                }
-            } else {
-                for (i, f) in pool.iter().enumerate() {
-                    let mode = if order_uses_ind {
-                        ScanMode::AbortBelowFloor(best_within)
-                    } else {
-                        ScanMode::AbortOnMiss
-                    };
-                    let p = share_probe(f.as_ref(), &snap, &fit, cfg.rho_max, &mut resid, mode);
-                    mx.incr(Ctr::PoolProbes);
-                    if p.truncated {
-                        mx.incr(Ctr::PoolShortCircuits);
-                    }
-                    best_within = best_within.max(p.within);
-                    if p.max_dev <= cfg.rho_max {
-                        shared = Some((i, p.max_dev, p.delta0));
-                        break;
-                    }
+                best_within = best_within.max(p.within);
+                if p.max_dev <= cfg.rho_max {
+                    shared = Some((i, p.max_dev, p.delta0));
+                    break;
                 }
             }
             mx.record(Phase::PoolScan, t_scan);
@@ -1483,34 +1434,6 @@ mod tests {
             // stay well inside ρ_M.
             let rep = m.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
             assert!(rep.rmse < 1e-2, "{kind:?}: rmse {}", rep.rmse);
-        }
-    }
-
-    #[test]
-    fn parallel_pool_scan_is_byte_identical() {
-        // Force the parallel gate open: tiny threshold is not configurable,
-        // so use enough rows that |pool| × |fit| crosses it.
-        let schema = Schema::new(vec![("x", AttrType::Float), ("y", AttrType::Float)]);
-        let mut t = Table::new(schema);
-        for i in 0..4096 {
-            let x = i as f64;
-            let seg = (i / 1024) as f64;
-            t.push_row(vec![Value::Float(x), Value::Float(x - 40.0 * seg)])
-                .unwrap();
-        }
-        let space = space_for(&t, 15);
-        for order in [QueueOrder::Decrease, QueueOrder::Random(11)] {
-            let seq_cfg = cfg_for(&t).with_order(order);
-            let par_cfg = seq_cfg.clone().with_pool_scan_threads(4);
-            let a = discover(&t, &t.all_rows(), &seq_cfg, &space).unwrap();
-            let b = discover(&t, &t.all_rows(), &par_cfg, &space).unwrap();
-            assert_eq!(a.rules.len(), b.rules.len(), "{order:?}");
-            for (ra, rb) in a.rules.rules().iter().zip(b.rules.rules()) {
-                assert_eq!(ra.condition(), rb.condition(), "{order:?}");
-                assert_eq!(ra.rho().to_bits(), rb.rho().to_bits(), "{order:?}");
-            }
-            assert_eq!(a.stats.models_shared, b.stats.models_shared, "{order:?}");
-            assert_eq!(a.stats.models_trained, b.stats.models_trained, "{order:?}");
         }
     }
 

@@ -14,7 +14,7 @@ use crr_data::{RowSet, Table};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{
     DiscoveryConfig, DiscoverySession, FitEngine, MetricsSink, PredicateGen, PredicateSpace,
-    QueueOrder, ShardedDiscovery,
+    ShardedDiscovery,
 };
 
 /// Single-shard run through the session front door.
@@ -67,29 +67,6 @@ fn repeated_runs_are_byte_identical() {
 }
 
 #[test]
-fn parallel_pool_scan_is_byte_identical_to_sequential() {
-    // Enough rows that `|pool| × |fit|` crosses the parallel-scan gate on
-    // real pops; both ind-consuming and ind-free orders are exercised since
-    // their short-circuit policies differ.
-    let (t, base, space) = setup(4000);
-    for order in [
-        QueueOrder::Decrease,
-        QueueOrder::Increase,
-        QueueOrder::Random(9),
-    ] {
-        let seq_cfg = base.clone().with_order(order);
-        let par_cfg = seq_cfg.clone().with_pool_scan_threads(4);
-        let a = discover(&t, &t.all_rows(), &seq_cfg, &space).unwrap();
-        let b = discover(&t, &t.all_rows(), &par_cfg, &space).unwrap();
-        assert!(
-            a.stats.models_shared > 0,
-            "{order:?}: sharing never engaged"
-        );
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{order:?}");
-    }
-}
-
-#[test]
 fn metrics_instrumentation_is_byte_identical() {
     // The observability contract: an enabled sink must not perturb the
     // search — queue order, fit results and rule output are untouched.
@@ -100,24 +77,6 @@ fn metrics_instrumentation_is_byte_identical() {
     assert_eq!(fingerprint(&plain), fingerprint(&metered));
     assert!(plain.metrics.is_empty());
     assert!(!metered.metrics.is_empty());
-
-    // Same holds under the parallel pool scan.
-    let par_plain_cfg = plain_cfg.with_pool_scan_threads(4);
-    let par_metered_cfg = par_plain_cfg.clone().with_metrics(MetricsSink::enabled());
-    let par_plain = discover(&t, &t.all_rows(), &par_plain_cfg, &space).unwrap();
-    let par_metered = discover(&t, &t.all_rows(), &par_metered_cfg, &space).unwrap();
-    assert_eq!(fingerprint(&par_plain), fingerprint(&par_metered));
-    assert_eq!(fingerprint(&plain), fingerprint(&par_plain));
-    // Pool-probe counts over the deterministic prefix match the sequential
-    // scan's exactly, even though speculative parallel probes may differ.
-    assert_eq!(
-        metered.metrics.count("pool", "hits"),
-        par_metered.metrics.count("pool", "hits"),
-    );
-    assert_eq!(
-        metered.metrics.count("queue", "pops"),
-        par_metered.metrics.count("queue", "pops"),
-    );
 }
 
 #[test]

@@ -415,7 +415,7 @@ fn invalid_plan_and_config_error_before_any_shard_runs() {
     assert!(matches!(
         DiscoverySession::on(&t)
             .predicates(space)
-            .config(cfg.with_pool_scan_threads(0))
+            .config(cfg.with_shard_threads(0))
             .sharded(ShardSpec::by_key(x).equal_width().shards(4))
             .run(),
         Err(DiscoveryError::InvalidConfig(_))

@@ -2,7 +2,7 @@
 //! the tools emit and a minimal recursive-descent reader to validate them.
 //!
 //! The workspace deliberately carries no serde. Emitters ([`crate::MetricsSnapshot`],
-//! `crr-bench`'s `BENCH_discovery.json` / `metrics.json` reports) render
+//! `crr-bench`'s artifact writer for the tracked benchmark files) render
 //! their schemas by hand on top of [`num`]/[`esc`], and validators re-parse
 //! with [`parse`] — just enough JSON to read back what the writers can
 //! produce, and to reject what they must never produce (missing keys,

@@ -10,7 +10,7 @@
 use crate::http::{Request, Response};
 use crate::store::{RuleStore, ServingSet, SwapError};
 use crate::ServeError;
-use crr_core::{CompiledConjunction, RuleIndex};
+use crr_core::RuleIndex;
 use crr_data::{AttrType, Table, Value};
 use crr_discovery::{Budget, CancelToken, DiscoveryOutcome};
 use crr_obs::json::{self, Json};
@@ -285,32 +285,22 @@ fn batch(req: &Request, ctx: &RequestCtx<'_>, kind: BatchKind) -> Response {
         BatchKind::Check => {
             // Violation checking tests *all* covering rules per row, the
             // constraint semantics of crr_core::check, under the budget.
-            // The all-rules × all-rows coverage filter is the hot loop:
-            // compile each rule's conjunctions once, test rows against the
-            // kernels (identical to `Crr::covers`, which ORs the same
-            // conjuncts in the same order).
-            let coverage: Vec<Vec<CompiledConjunction<'_>>> = rules
-                .rules()
-                .iter()
-                .map(|r| {
-                    r.condition()
-                        .conjuncts()
-                        .iter()
-                        .map(|c| CompiledConjunction::compile(c, table))
-                        .collect()
-                })
-                .collect();
+            // The coverage query runs on the same compiled index as
+            // predict: it returns every covering (rule, conjunct) pair in
+            // rule order, so the first pair per rule stands for
+            // `Crr::covers`.
             let mut violations = String::new();
             let mut checked = 0usize;
             let mut uncovered = 0usize;
             let mut nviol = 0usize;
             let (outcome, answered) = budgeted_walk(table.num_rows(), ctx, input.deadline, |row| {
-                let mut covered = false;
-                for (ri, rule) in rules.rules().iter().enumerate() {
-                    if !coverage[ri].iter().any(|c| c.eval_row(row)) {
-                        continue;
+                let pairs = fast.covering(row);
+                let mut last_rule = None;
+                for &(ri, _) in &pairs {
+                    if last_rule.replace(ri) == Some(ri) {
+                        continue; // one obligation per rule, not per conjunct
                     }
-                    covered = true;
+                    let rule = &rules.rules()[ri];
                     let (Some(predicted), Some(actual)) = (
                         rule.predict(table, row),
                         table.value_f64(row, rule.target()),
@@ -332,7 +322,7 @@ fn batch(req: &Request, ctx: &RequestCtx<'_>, kind: BatchKind) -> Response {
                         nviol += 1;
                     }
                 }
-                if covered {
+                if !pairs.is_empty() {
                     checked += 1;
                 } else {
                     uncovered += 1;

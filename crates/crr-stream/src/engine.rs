@@ -746,17 +746,18 @@ impl StreamEngine {
         BatchCols { cols, y, ready }
     }
 
-    /// Routes `ids` through the interval index: buckets each fit-ready row
-    /// under its first matching conjunct per covering rule, and (when
-    /// `monitor` is set) residual-checks every covering rule at write
-    /// time. Pure reads — application happens in a second phase.
+    /// Routes `ids` through the compiled interval index: buckets each
+    /// fit-ready row under its first matching conjunct per covering rule,
+    /// and (when `monitor` is set) residual-checks every covering rule at
+    /// write time. Pure reads — application happens in a second phase.
     fn route(&self, ids: &[u32], monitor: bool) -> Routed {
         let idx = RuleIndex::build(&self.rules, &self.table);
+        let fast = idx.compile(&self.table);
         let batch = self.gather(ids);
         let tol = self.opts.tolerance;
         let mut out = Routed::default();
         for (i, &r) in ids.iter().enumerate() {
-            let pairs = idx.covering(&self.table, r as usize);
+            let pairs = fast.covering(r as usize);
             if pairs.is_empty() {
                 out.uncovered.push(r);
                 continue;

@@ -7,8 +7,9 @@
 //! append/delete batches without rediscovery, following the maintenance
 //! contract documented in DESIGN.md §13:
 //!
-//! 1. **Route** — every changed row is pushed through the interval
-//!    [`crr_core::RuleIndex`] coverage query to find *all* rule
+//! 1. **Route** — every changed row is pushed through the compiled
+//!    interval index's coverage query
+//!    ([`crr_core::CompiledIndex::covering`]) to find *all* rule
 //!    conjunctions whose condition claims it (not just the first match:
 //!    each covering rule's bias bound is a separate obligation).
 //! 2. **Delta** — each covering conjunction's partition statistics

@@ -53,8 +53,8 @@ echo "==> tracked benchmark emits and validates"
 # metrics.json output ever loses a key, breaks a counter invariant (e.g.
 # cross-shard pool hits + misses != probes, per-shard row counts not
 # summing to the table rows), or contains a non-finite number. The
-# unified `--check` flag dispatches on the file's own schema tag; one
-# legacy alias is exercised below so the old spellings keep working.
+# `--check` flag dispatches on the file's own schema tag; the committed
+# artifacts go through the same gate in the loop below.
 BENCH_TMP="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
 METRICS_TMP="$(mktemp /tmp/metrics_smoke.XXXXXX.json)"
 ANALYSIS_TMP="$(mktemp /tmp/analysis_smoke.XXXXXX.json)"
@@ -66,16 +66,18 @@ trap 'rm -f "$BENCH_TMP" "$METRICS_TMP" "$ANALYSIS_TMP" "$SERVING_TMP" "$STREAM_
 cargo run -q -p crr-bench --bin experiments -- \
   --scale 0.05 --bench-json "$BENCH_TMP" --metrics-out "$METRICS_TMP" bench >/dev/null
 cargo run -q -p crr-bench --bin experiments -- --check "$BENCH_TMP"
-# Legacy alias smoke: --check-bench must keep gating the same file.
-cargo run -q -p crr-bench --bin experiments -- --check-bench "$BENCH_TMP"
 cargo run -q -p crr-bench --bin experiments -- --check "$METRICS_TMP"
-# The committed artifacts must satisfy the same gates.
-if [ -f BENCH_discovery.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check BENCH_discovery.json
-fi
-if [ -f metrics.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check metrics.json
-fi
+
+echo "==> committed artifacts validate"
+# Every committed full-scale artifact must satisfy the same gates as a
+# fresh smoke run — including, for BENCH_stream.json, the 5x
+# incremental-speedup floor at gate scale, and for analysis.json, zero
+# unsound findings.
+for artifact in BENCH_discovery.json metrics.json analysis.json BENCH_serving.json BENCH_stream.json; do
+  if [ -f "$artifact" ]; then
+    cargo run -q -p crr-bench --bin experiments -- --check "$artifact"
+  fi
+done
 
 echo "==> adaptive shard-planning gates on the committed artifacts"
 # Perf gates read the committed full-scale benchmark only (smoke-scale
@@ -124,14 +126,10 @@ echo "==> static analysis verifies the discovered artifacts"
 # bundled repair obligations. Any `unsound` finding (dead rule condition,
 # unguarded shard merge, malformed inference artifact, compiled-kernel
 # divergence, over-/under-claiming splice) aborts the run;
-# --check-analysis re-applies the same gate to the file, and to the
-# committed full-scale artifact.
+# --check re-applies the same gate to the file.
 cargo run -q -p crr-bench --bin experiments -- \
   --scale 0.05 --analysis-json "$ANALYSIS_TMP" --artifact-out "$ARTIFACT_TMP" analyze >/dev/null
 cargo run -q -p crr-bench --bin experiments -- --check "$ANALYSIS_TMP"
-if [ -f analysis.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check analysis.json
-fi
 
 echo "==> repair-obligation mutation smoke (the A7 gate bites)"
 # The exported stream-repaired artifact must (a) re-verify from its text
@@ -147,32 +145,25 @@ echo "==> serving smoke: live server under closed-loop load"
 # asserts in-process that smoke cells are loss-free (zero sheds, zero
 # deadline timeouts, every request 200), that the overload cell sheds
 # well-formed 503s, and that hot-swap churn never changes an in-flight
-# answer; --check-serving re-applies the same gates to the file, and to
-# the committed full-scale artifact.
+# answer; --check re-applies the same gates to the file.
 cargo run -q -p crr-bench --bin experiments -- \
   --scale 0.05 --serving-json "$SERVING_TMP" serving >/dev/null
 cargo run -q -p crr-bench --bin experiments -- --check "$SERVING_TMP"
-if [ -f BENCH_serving.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check BENCH_serving.json
-fi
 
 echo "==> streaming maintenance smoke: incremental vs full rediscovery"
 # Tiny-scale maintenance race: append a tail through a crr-stream
 # maintainer (route + delta + monitor + repair), verify the repaired
 # artifact is sound and hot-swaps into a live server byte-identically,
 # and race it against full rediscovery. The emitter asserts in-process
-# that repair leaves no residual violations; --check-stream re-applies
-# the shape/consistency gates to the file, and to the committed
-# full-scale artifact — where the electricity cell at gate scale must
-# also clear the 5x incremental-speedup floor. The repaired artifact is
+# that repair leaves no residual violations; --check re-applies the
+# shape/consistency gates to the file (the committed full-scale artifact,
+# where the electricity cell must also clear the 5x incremental-speedup
+# floor, is checked in the loop above). The repaired artifact is
 # exported and re-verified from its text form (stream → analyze), closing
 # the maintenance → verification loop on a second, independent fixture.
 cargo run -q -p crr-bench --bin experiments -- \
   --scale 0.05 --stream-json "$STREAM_TMP" --artifact-out "$STREAM_ARTIFACT_TMP" stream >/dev/null
 cargo run -q -p crr-bench --bin experiments -- --check "$STREAM_TMP"
 cargo run -q -p crr-bench --bin experiments -- --analyze-artifact "$STREAM_ARTIFACT_TMP" >/dev/null
-if [ -f BENCH_stream.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check BENCH_stream.json
-fi
 
 echo "CI OK"
