@@ -3,7 +3,10 @@
 //! * predicate selection over Electricity, interpreted row-at-a-time
 //!   `Predicate::eval` vs. the compiled `CompiledConjunction` kernel;
 //! * Gram/moments accumulation over the fit-ready rows, per-row
-//!   `gather_x` + `add_row` vs. the batched column-major `add_rows`.
+//!   `gather_x` + `add_row` vs. the batched column-major `add_rows`;
+//! * split selection on the root partition (Algorithm 1 line 19), the
+//!   ordered scorer (one compiled select + merge per candidate) vs. the
+//!   sweep-and-verify chooser (one bucketed pass per attribute).
 //!
 //! `cargo bench -p crr-bench --bench perf_scan_kernels`
 
@@ -14,6 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use crr_bench::{crr_inputs, electricity_scenario, CrrOptions, Scenario};
 use crr_core::CompiledConjunction;
 use crr_data::NumericSnapshot;
+use crr_discovery::split::SplitScorer;
 use crr_models::Moments;
 use std::time::Duration;
 
@@ -96,5 +100,45 @@ fn bench_gram_accumulate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_predicate_scan, bench_gram_accumulate);
+fn bench_split_select(c: &mut Criterion) {
+    let mut g = c.benchmark_group("split_select");
+    g.sample_size(10);
+    g.warm_up_time(Duration::from_millis(300));
+    g.measurement_time(Duration::from_millis(1500));
+    for n in [2_880, 11_520] {
+        let (sc, space) = scenario(n);
+        let (cfg, _) = crr_inputs(&sc, &CrrOptions::default());
+        let table = sc.table();
+        let rows = sc.rows();
+        // The root partition's residuals under a constant (mean) model.
+        let ys: Vec<(usize, f64)> = rows
+            .iter()
+            .filter_map(|r| table.value_f64(r, sc.target).map(|y| (r, y)))
+            .collect();
+        let mean = ys.iter().map(|&(_, y)| y).sum::<f64>() / ys.len() as f64;
+        let residuals: Vec<(usize, f64)> = ys.iter().map(|&(r, y)| (r, y - mean)).collect();
+        let stride = (space.len() / cfg.max_split_candidates).max(1);
+        let picks: Vec<u32> = (0..space.len() as u32).step_by(stride).collect();
+        let scorer = SplitScorer::new(table, &space, sc.target);
+        assert_eq!(
+            scorer.choose(&rows, &cfg, &picks, &residuals),
+            scorer.choose_ordered(&rows, &cfg, &picks, &residuals),
+        );
+        g.throughput(Throughput::Elements((rows.len() * picks.len()) as u64));
+        g.bench_with_input(BenchmarkId::new("ordered", n), &n, |b, _| {
+            b.iter(|| scorer.choose_ordered(&rows, &cfg, &picks, &residuals))
+        });
+        g.bench_with_input(BenchmarkId::new("sweep", n), &n, |b, _| {
+            b.iter(|| scorer.choose(&rows, &cfg, &picks, &residuals))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_predicate_scan,
+    bench_gram_accumulate,
+    bench_split_select
+);
 criterion_main!(benches);

@@ -114,6 +114,9 @@ fn metric(m: &Node, section: &str, key: &str) -> Result<u64, String> {
 ///   both of its sides through exactly one engine, so
 ///   `kernels.compiled_scans + kernels.interpreted_scans ==
 ///   2 × queue.splits`;
+/// * the split chooser re-scores only what it swept:
+///   `split.exact_rescores <= split.candidates_swept` whenever the run
+///   carries the keys (artifacts written before the sweep existed do not);
 /// * a `sharded` run actually ran at least two shards (`shards.run >= 2`),
 ///   carries a `shard_rows` array with one entry per shard run whose sum
 ///   equals the run's `rows` (no shard plan may lose or duplicate rows),
@@ -170,6 +173,16 @@ pub fn validate(text: &str) -> Result<String, String> {
                 "{ctx}: scan-kernel ledger does not balance \
                  ({cscans} compiled + {iscans} interpreted != 2 x {splits} splits)"
             ));
+        }
+        if let Some(split) = m.get("split") {
+            let swept = split.uint("candidates_swept")?;
+            let rescored = split.uint("exact_rescores")?;
+            if rescored > swept {
+                return Err(format!(
+                    "{ctx}: split chooser re-scored more candidates than it swept \
+                     ({rescored} exact re-scores > {swept} swept)"
+                ));
+            }
         }
         match engine {
             "moments" | "sharded" => {
@@ -430,6 +443,31 @@ mod tests {
         runs[0].snapshot = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("scan-kernel ledger"), "{err}");
+    }
+
+    #[test]
+    fn more_rescores_than_swept_candidates_is_rejected() {
+        let mut runs = sample();
+        let sink = MetricsSink::enabled();
+        sink.add(Counter::QueuePops, 7);
+        sink.add(Counter::SplitCandidatesSwept, 4);
+        sink.add(Counter::SplitExactRescores, 5);
+        runs[0].snapshot = sink.snapshot();
+        let err = validate(&render(&runs)).expect_err("must fail");
+        assert!(err.contains("re-scored more candidates"), "{err}");
+    }
+
+    #[test]
+    fn runs_without_split_counters_still_validate() {
+        // Artifacts written before the split counters existed carry no
+        // `split` section; the invariant applies only when it is present.
+        let mut runs = sample();
+        for r in &mut runs {
+            r.snapshot.sections.retain(|s| s.name != "split");
+        }
+        let text = render(&runs);
+        assert!(!text.contains("candidates_swept"));
+        validate(&text).expect("pre-sweep artifact validates");
     }
 
     #[test]

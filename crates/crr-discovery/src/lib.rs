@@ -23,8 +23,10 @@
 //! Supporting pieces: predicate generation in the three styles of
 //! Table III ([`predicates`]), queue-ordering strategies of Table IV
 //! ([`QueueOrder`]), χ²-based condition post-pruning (the paper's §VII
-//! future-work note, [`pruning`]) and multi-target parallel discovery
-//! ([`parallel`]).
+//! future-work note, [`pruning`]), multi-target parallel discovery
+//! ([`parallel`]) and split selection ([`split`]: every threshold cut of
+//! an attribute scored in one sweep, verified against the ordered scorer
+//! so the chosen split is bitwise the same).
 //!
 //! The runtime is *budgeted and fault-tolerant*: a [`Budget`] (wall-clock
 //! deadline, expansion cap, fit cap) and a [`CancelToken`] are observed at
@@ -125,6 +127,7 @@ pub mod pruning;
 mod search;
 mod session;
 pub mod sharded;
+pub mod split;
 
 pub use artifact::{RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact};
 pub use budget::{Budget, CancelToken, DiscoveryOutcome};

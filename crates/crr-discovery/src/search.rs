@@ -39,12 +39,13 @@
 //! maximum deviation exceeds `ρ_M` *and* the remaining rows provably cannot
 //! raise `ind(C)` above the best already seen.
 
+use crate::split::{choose_split, SplitScorer};
 use crate::{
     DiscoveryConfig, DiscoveryError, DiscoveryOutcome, FitEngine, PredicateSpace, QueueOrder,
-    Result, ScanKernel, SplitStrategy,
+    Result, ScanKernel,
 };
 use crr_core::{CompiledConjunction, Conjunction, Crr, Dnf, Predicate, RuleSet};
-use crr_data::{AttrId, AttrType, NumericSnapshot, RowSet, Table};
+use crr_data::{AttrId, NumericSnapshot, RowSet, Table};
 use crr_models::{
     fit_model, try_fit_from_moments, ConstantModel, Model, ModelKind, Moments, Regressor,
     Translation,
@@ -300,11 +301,12 @@ pub(crate) fn run_search(
     // Residual scratch, reused across pops.
     let mut resid: Vec<f64> = Vec::new();
 
-    // Compile-once cache for the split chooser: under the compiled kernel
-    // every candidate predicate is compiled against this table exactly
-    // once per run instead of once per (pop, candidate).
-    let split_scratch =
-        (cfg.kernel == ScanKernel::Compiled).then(|| SplitScratch::build(table, space, cfg.target));
+    // Compile-once state for the split chooser: under the compiled kernel
+    // every candidate predicate is compiled, and every threshold resolved
+    // to its cut, against this table exactly once per run instead of once
+    // per (pop, candidate).
+    let split_scorer =
+        (cfg.kernel == ScanKernel::Compiled).then(|| SplitScorer::new(table, space, cfg.target));
 
     // Line 4: main loop.
     while let Some(entry) = queue.pop() {
@@ -612,7 +614,7 @@ pub(crate) fn run_search(
             space,
             &avail,
             &residuals,
-            split_scratch.as_ref(),
+            split_scorer.as_ref(),
         );
         mx.record(Phase::SplitSelection, t_split);
         match chosen {
@@ -1034,184 +1036,12 @@ pub(crate) fn global_midrange(table: &Table, cfg: &DiscoveryConfig, rows: &RowSe
     }
 }
 
-/// Line 19: pick the split predicate among the available ones.
-///
-/// Only *separating* predicates qualify (both sides non-empty — this is
-/// what bounds the search tree at one leaf per tuple). `BestResidual`
-/// (default) scores each candidate by the weighted variance of the parent
-/// model's residuals per side — the model-tree criterion that surfaces
-/// regime attributes; `BestVariance` is the raw CART criterion \[9\].
-/// Per-run scratch for the compiled split chooser: every candidate
-/// predicate compiled against the table exactly once, plus the target
-/// column densified to a flat f64 buffer. NaN marks a null cell — the
-/// snapshot build already rejected non-finite data cells over the run's
-/// rows, so the sentinel is unambiguous.
-struct SplitScratch<'t> {
-    compiled: Vec<CompiledConjunction<'t>>,
-    target: Vec<f64>,
-}
-
-impl<'t> SplitScratch<'t> {
-    fn build(table: &'t Table, space: &PredicateSpace, target: AttrId) -> SplitScratch<'t> {
-        SplitScratch {
-            compiled: space
-                .predicates()
-                .iter()
-                .map(|p| CompiledConjunction::from_preds(std::slice::from_ref(p), table))
-                .collect(),
-            target: (0..table.num_rows())
-                .map(|r| table.value_f64(r, target).unwrap_or(f64::NAN))
-                .collect(),
-        }
-    }
-}
-
-fn choose_split(
-    table: &Table,
-    rows: &RowSet,
-    cfg: &DiscoveryConfig,
-    space: &PredicateSpace,
-    avail: &[u32],
-    residuals: &[(usize, f64)],
-    scratch: Option<&SplitScratch<'_>>,
-) -> Option<u32> {
-    let target = cfg.target;
-    let is_numeric_target = table.schema().attribute(target).ty() != AttrType::Str;
-    debug_assert!(is_numeric_target);
-    // Under the compiled kernel every candidate is a blocked columnar
-    // select into this reused buffer; a two-pointer merge of the (sorted)
-    // selection against the partition then feeds the *same* accumulators in
-    // the *same* row order as the interpreted per-row branch, so scores —
-    // and therefore the chosen split — are bitwise identical.
-    let mut sel: Vec<u32> = Vec::new();
-    // Rows the BestResidual criterion scores (ascending, mirrors `fit`).
-    let resid_rows: Vec<u32> = residuals.iter().map(|&(r, _)| r as u32).collect();
-    // Evaluate at most max_split_candidates, spread evenly over `avail`.
-    let stride = (avail.len() / cfg.max_split_candidates.max(1)).max(1);
-    let mut best: Option<(f64, u32)> = None;
-    for &idx in avail.iter().step_by(stride) {
-        let p = &space.predicates()[idx as usize];
-        if matches!(cfg.split, SplitStrategy::FirstApplicable) {
-            // Cheap separation check only.
-            let yes = match scratch {
-                Some(sc) => sc.compiled[idx as usize].count(rows.as_slice()),
-                None => rows.iter().filter(|&r| p.eval(table, r)).count(),
-            };
-            if yes > 0 && yes < rows.len() {
-                return Some(idx);
-            }
-            continue;
-        }
-        // Single pass: sum/sum-of-squares accumulation per side, over the
-        // scored quantity chosen by the strategy.
-        let (mut n1, mut s1, mut q1) = (0usize, 0.0f64, 0.0f64);
-        let (mut n2, mut s2, mut q2) = (0usize, 0.0f64, 0.0f64);
-        if let Some(sc) = scratch {
-            let cp = &sc.compiled[idx as usize];
-            match cfg.split {
-                SplitStrategy::BestResidual => {
-                    cp.select_into(&resid_rows, &mut sel);
-                    let mut j = 0;
-                    for &(r, resid) in residuals {
-                        if j < sel.len() && sel[j] == r as u32 {
-                            j += 1;
-                            n1 += 1;
-                            s1 += resid;
-                            q1 += resid * resid;
-                        } else {
-                            n2 += 1;
-                            s2 += resid;
-                            q2 += resid * resid;
-                        }
-                    }
-                }
-                _ => {
-                    cp.select_into(rows.as_slice(), &mut sel);
-                    let mut j = 0;
-                    for r in rows.iter() {
-                        let hit = j < sel.len() && sel[j] == r as u32;
-                        if hit {
-                            j += 1;
-                        }
-                        let v = sc.target[r];
-                        if v.is_nan() {
-                            continue;
-                        }
-                        if hit {
-                            n1 += 1;
-                            s1 += v;
-                            q1 += v * v;
-                        } else {
-                            n2 += 1;
-                            s2 += v;
-                            q2 += v * v;
-                        }
-                    }
-                }
-            }
-        } else {
-            match cfg.split {
-                SplitStrategy::BestResidual => {
-                    for &(r, resid) in residuals {
-                        if p.eval(table, r) {
-                            n1 += 1;
-                            s1 += resid;
-                            q1 += resid * resid;
-                        } else {
-                            n2 += 1;
-                            s2 += resid;
-                            q2 += resid * resid;
-                        }
-                    }
-                }
-                _ => {
-                    for r in rows.iter() {
-                        let Some(v) = table.value_f64(r, target) else {
-                            continue;
-                        };
-                        if p.eval(table, r) {
-                            n1 += 1;
-                            s1 += v;
-                            q1 += v * v;
-                        } else {
-                            n2 += 1;
-                            s2 += v;
-                            q2 += v * v;
-                        }
-                    }
-                }
-            }
-        }
-        if n1 == 0 || n2 == 0 {
-            continue; // not separating
-        }
-        let var = |n: usize, s: f64, q: f64| {
-            let m = s / n as f64;
-            (q / n as f64 - m * m).max(0.0)
-        };
-        let score = (n1 as f64 * var(n1, s1, q1) + n2 as f64 * var(n2, s2, q2)) / (n1 + n2) as f64;
-        if best.is_none_or(|(b, _)| score < b) {
-            best = Some((score, idx));
-        }
-    }
-    if best.is_none() && stride > 1 {
-        // The strided sample missed every separating predicate (small
-        // partitions need fine constants). Coverage quality beats split
-        // cost here: the space's sorted-constant lookup finds one in
-        // O(|rows| + log |P|). (Predicates consumed on this path never
-        // separate their own descendants, so skipping the avail filter is
-        // safe — a non-separating pick is simply rejected upstream.)
-        return space.separating_candidate(table, rows);
-    }
-    best.map(|(_, idx)| idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Budget, CancelToken, FaultPlan, PredicateGen};
+    use crate::{Budget, CancelToken, FaultPlan, PredicateGen, SplitStrategy};
     use crr_core::LocateStrategy;
-    use crr_data::{Schema, Value};
+    use crr_data::{AttrType, Schema, Value};
     use crr_models::ModelKind;
 
     /// Test-local positional entry over [`run_search`], standing in for

@@ -222,6 +222,13 @@ metric_enum! {
         /// `Moments::add_rows` batch accumulations (each replaces
         /// `rows` row-at-a-time `add_row` calls).
         KernelBatchAccumulates => ("kernels", "batch_accumulates"),
+        /// Threshold split candidates scored by the one-pass sweep
+        /// (`crr_discovery::split`), separating or not.
+        SplitCandidatesSwept => ("split", "candidates_swept"),
+        /// Swept candidates whose score interval reached the best upper
+        /// bound and were re-scored by the ordered scorer. Never exceeds
+        /// `split.candidates_swept`.
+        SplitExactRescores => ("split", "exact_rescores"),
     }
 }
 
