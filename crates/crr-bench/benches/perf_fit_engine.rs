@@ -2,7 +2,8 @@
 //!
 //! * end-to-end discovery, moments vs. row-rescan, on Electricity and Tax;
 //! * the shared-pool probe (Proposition 6), row-major vs. columnar
-//!   snapshot;
+//!   snapshot, for one model and for a split-shaped pop (one partition,
+//!   ten pooled models, every probe a miss whose within count is read);
 //! * a single partition fit, Gram-cache solve vs. materialize-and-rescan.
 //!
 //! `cargo bench -p crr-bench --bench perf_fit_engine`
@@ -13,6 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use crr_bench::{crr_inputs, electricity_scenario, tax_scenario, CrrOptions, Scenario};
 use crr_data::NumericSnapshot;
+use crr_discovery::probe::{scan_pool, GatheredPartition};
 use crr_discovery::{share_fit_rows, share_fit_snapshot, FitEngine};
 
 /// Single-shard discovery through the session front door.
@@ -28,7 +30,9 @@ fn discover(
         .config(cfg.clone())
         .run()
 }
-use crr_models::{fit_model, try_fit_from_moments, FitConfig, ModelKind, Moments};
+use crr_models::{
+    fit_model, try_fit_from_moments, FitConfig, LinearModel, Model, ModelKind, Moments,
+};
 use std::time::Duration;
 
 fn engine_label(engine: FitEngine) -> &'static str {
@@ -120,6 +124,32 @@ fn bench_share_probe(c: &mut Criterion) {
     });
     g.bench_function("snapshot", |b| {
         b.iter(|| share_fit_snapshot(&model, &p.snap, &p.fit, p.rho))
+    });
+    // A pop that goes on to split: the pool misses on every model, and the
+    // queue order reads each miss's within count. The fitted model shifted
+    // in slope misses by far more than ρ_M on this partition.
+    let (w, b) = model.as_affine().expect("linear fit");
+    let pool: Vec<Model> = (1..=10)
+        .map(|k| Model::Linear(LinearModel::new(vec![w[0] * (1.0 + 0.05 * k as f64)], b)))
+        .collect();
+    assert!(pool
+        .iter()
+        .all(|m| share_fit_rows(m, &p.xs, &p.y, p.rho).1 > p.rho));
+    g.throughput(Throughput::Elements((p.fit.len() * pool.len()) as u64));
+    g.bench_function("pop_rows", |b| {
+        b.iter(|| {
+            pool.iter()
+                .map(|m| share_fit_rows(m, &p.xs, &p.y, p.rho).2)
+                .fold(0.0f64, f64::max)
+        })
+    });
+    let mut rows = GatheredPartition::new();
+    let mut resid = Vec::new();
+    g.bench_function("pop_gathered", |b| {
+        b.iter(|| {
+            rows.gather(&p.snap, &p.fit);
+            scan_pool(&pool, &rows, &mut resid, p.rho, true)
+        })
     });
     g.finish();
 }

@@ -114,6 +114,9 @@ fn metric(m: &Node, section: &str, key: &str) -> Result<u64, String> {
 ///   both of its sides through exactly one engine, so
 ///   `kernels.compiled_scans + kernels.interpreted_scans ==
 ///   2 × queue.splits`;
+/// * every pool probe scans at least one row: `pool.probe_rows >=
+///   pool.probes` whenever the run carries `probe_rows` (artifacts written
+///   before the counter existed do not);
 /// * the split chooser re-scores only what it swept:
 ///   `split.exact_rescores <= split.candidates_swept` whenever the run
 ///   carries the keys (artifacts written before the sweep existed do not);
@@ -173,6 +176,17 @@ pub fn validate(text: &str) -> Result<String, String> {
                 "{ctx}: scan-kernel ledger does not balance \
                  ({cscans} compiled + {iscans} interpreted != 2 x {splits} splits)"
             ));
+        }
+        let pool = m.obj("pool")?;
+        if pool.get("probe_rows").is_some() {
+            let probes = pool.uint("probes")?;
+            let probe_rows = pool.uint("probe_rows")?;
+            if probe_rows < probes {
+                return Err(format!(
+                    "{ctx}: pool probes scanned fewer rows than they probed \
+                     ({probe_rows} probe rows < {probes} probes)"
+                ));
+            }
         }
         if let Some(split) = m.get("split") {
             let swept = split.uint("candidates_swept")?;
@@ -455,6 +469,31 @@ mod tests {
         runs[0].snapshot = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("re-scored more candidates"), "{err}");
+    }
+
+    #[test]
+    fn fewer_probe_rows_than_probes_is_rejected() {
+        let mut runs = sample();
+        let sink = MetricsSink::enabled();
+        sink.add(Counter::QueuePops, 7);
+        sink.add(Counter::PoolProbes, 3);
+        sink.add(Counter::PoolProbeRows, 2);
+        runs[0].snapshot = sink.snapshot();
+        let err = validate(&render(&runs)).expect_err("must fail");
+        assert!(err.contains("fewer rows than they probed"), "{err}");
+    }
+
+    #[test]
+    fn runs_without_probe_rows_still_validate() {
+        // Artifacts written before the counter existed carry no
+        // `pool.probe_rows`; the invariant applies only when it is present.
+        let mut runs = sample();
+        for s in runs.iter_mut().flat_map(|r| &mut r.snapshot.sections) {
+            s.entries.retain(|(name, _)| name != "probe_rows");
+        }
+        let text = render(&runs);
+        assert!(!text.contains("probe_rows"));
+        validate(&text).expect("artifact without probe_rows validates");
     }
 
     #[test]

@@ -123,6 +123,7 @@ mod error;
 pub mod faults;
 pub mod parallel;
 pub mod predicates;
+pub mod probe;
 pub mod pruning;
 mod search;
 mod session;
@@ -137,7 +138,8 @@ pub use error::DiscoveryError;
 pub use faults::{inject_dirty_cells, FaultPlan};
 pub use parallel::Task;
 pub use predicates::{PredicateGen, PredicateSpace};
-pub use search::{share_fit_rows, share_fit_snapshot, Discovery, DiscoveryStats};
+pub use probe::{share_fit_rows, share_fit_snapshot};
+pub use search::{Discovery, DiscoveryStats};
 pub use session::DiscoverySession;
 pub use sharded::{
     guard_predicates, PlanBoundary, ProofObligations, ShardGuard, ShardOutcome, ShardedDiscovery,

@@ -104,8 +104,10 @@ fn run_isolated(table: &Table, rows: &RowSet, task: &Task, index: usize) -> Resu
 /// Parallel first-match scan with early termination — the engine behind the
 /// work-stealing cross-shard pool probe of Algorithm 1's lines 7–10.
 ///
-/// Evaluates `eval(i)` for `i < count` across up to `threads` scoped
-/// workers; `eval` returns `(payload, matched)`. Returns the lowest matched
+/// Evaluates `eval(scratch, i)` for `i < count` across up to `threads`
+/// scoped workers; `eval` returns `(payload, matched)`. Each worker builds
+/// its own `scratch` once with `init` and reuses it across the indices it
+/// claims (the probe's residual buffer). Returns the lowest matched
 /// index (the same one a sequential first-fit scan would pick) plus the
 /// payload slots. Determinism contract: every index `i ≤ winner` is
 /// guaranteed to have been fully evaluated, so aggregates over that prefix
@@ -113,15 +115,17 @@ fn run_isolated(table: &Table, rows: &RowSet, task: &Task, index: usize) -> Resu
 /// Indices *above* the winner may be skipped (`None`) or evaluated and
 /// discarded — callers must ignore them, as the sequential scan never looks
 /// past its first fit either.
-pub(crate) fn first_match_scan<R: Send>(
+pub(crate) fn first_match_scan<S, R: Send>(
     count: usize,
     threads: usize,
-    eval: impl Fn(usize) -> (R, bool) + Sync,
+    init: impl Fn() -> S + Sync,
+    eval: impl Fn(&mut S, usize) -> (R, bool) + Sync,
 ) -> (Option<usize>, Vec<Option<R>>) {
     let mut results: Vec<Option<R>> = (0..count).map(|_| None).collect();
     if threads <= 1 || count <= 1 {
+        let mut scratch = init();
         for (i, slot) in results.iter_mut().enumerate() {
-            let (r, matched) = eval(i);
+            let (r, matched) = eval(&mut scratch, i);
             *slot = Some(r);
             if matched {
                 return (Some(i), results);
@@ -136,22 +140,25 @@ pub(crate) fn first_match_scan<R: Send>(
     // claimed exactly once, so the locks are uncontended bookkeeping.
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        let (next, first, slots, eval) = (&next, &first, &slots, &eval);
+        let (next, first, slots, init, eval) = (&next, &first, &slots, &init, &eval);
         for _ in 0..threads.min(count) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                // Claims are monotonically increasing and the winner index
-                // only ever decreases, so once a claim lands above the
-                // current winner this worker can never claim a useful index
-                // again.
-                if i >= count || i > first.load(Ordering::Acquire) {
-                    break;
+            scope.spawn(move || {
+                let mut scratch = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    // Claims are monotonically increasing and the winner
+                    // index only ever decreases, so once a claim lands
+                    // above the current winner this worker can never claim
+                    // a useful index again.
+                    if i >= count || i > first.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let (r, matched) = eval(&mut scratch, i);
+                    if matched {
+                        first.fetch_min(i, Ordering::AcqRel);
+                    }
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
                 }
-                let (r, matched) = eval(i);
-                if matched {
-                    first.fetch_min(i, Ordering::AcqRel);
-                }
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
             });
         }
     });

@@ -35,10 +35,12 @@
 //!   the columnar buffers, reproducing [`Regressor::predict`] bitwise for
 //!   affine models so every reported `ρ` stays honest.
 //!
-//! The shared-pool scan short-circuits a probe as soon as its running
-//! maximum deviation exceeds `ρ_M` *and* the remaining rows provably cannot
-//! raise `ind(C)` above the best already seen.
+//! The shared-pool scan gathers the pop's fit rows once and settles each
+//! probe from its residual range in one pass; only a miss under a queue
+//! order that reads `ind(C)` pays for a second, counting pass (see
+//! [`crate::probe`] for the kernel and why it is exact).
 
+use crate::probe::{range_probe, scan_pool, GatheredPartition};
 use crate::split::{choose_split, SplitScorer};
 use crate::{
     DiscoveryConfig, DiscoveryError, DiscoveryOutcome, FitEngine, PredicateSpace, QueueOrder,
@@ -298,8 +300,10 @@ pub(crate) fn run_search(
     let watched = !cfg.budget.is_unlimited() || cfg.cancel.is_some();
     let mut outcome = DiscoveryOutcome::Complete;
 
-    // Residual scratch, reused across pops.
+    // Residual scratch and the pool probe's gathered rows, reused across
+    // pops.
     let mut resid: Vec<f64> = Vec::new();
+    let mut probe_rows = GatheredPartition::new();
 
     // Compile-once state for the split chooser: under the compiled kernel
     // every candidate predicate is compiled, and every threshold resolved
@@ -392,31 +396,29 @@ pub(crate) fn run_search(
 
         // Lines 7–10: try to share a pooled model, and in the same pass
         // compute the sharing index ind(C) (line 12). `best_within` counts
-        // rows, not fractions — every probe at this pop shares `fit.len()`,
-        // so integer comparison keeps the short-circuit bound exact.
+        // rows, not fractions — every probe at this pop shares `fit.len()`.
+        // The pop's rows are gathered once, for every probe of either pool.
         let mut best_within = 0usize;
         let mut shared: Option<(usize, f64, f64)> = None; // (pool idx, rho, delta)
+        let mut gathered = false;
         if cfg.share_models && !pool.is_empty() {
             mx.incr(Ctr::PoolScans);
             let t_scan = mx.span();
-            let order_uses_ind = !matches!(cfg.order, QueueOrder::Random(_));
-            for (i, f) in pool.iter().enumerate() {
-                let mode = if order_uses_ind {
-                    ScanMode::AbortBelowFloor(best_within)
-                } else {
-                    ScanMode::AbortOnMiss
-                };
-                let p = share_probe(f.as_ref(), &snap, &fit, cfg.rho_max, &mut resid, mode);
-                mx.incr(Ctr::PoolProbes);
-                if p.truncated {
-                    mx.incr(Ctr::PoolShortCircuits);
-                }
-                best_within = best_within.max(p.within);
-                if p.max_dev <= cfg.rho_max {
-                    shared = Some((i, p.max_dev, p.delta0));
-                    break;
-                }
-            }
+            probe_rows.gather(&snap, &fit);
+            gathered = true;
+            let reads_ind = !matches!(cfg.order, QueueOrder::Random(_));
+            let scan = scan_pool(
+                pool.iter().map(|f| f.as_ref()),
+                &probe_rows,
+                &mut resid,
+                cfg.rho_max,
+                reads_ind,
+            );
+            mx.add(Ctr::PoolProbes, scan.probes as u64);
+            mx.add(Ctr::PoolProbeRows, (scan.probes * fit.len()) as u64);
+            mx.add(Ctr::PoolShortCircuits, scan.settled_from_range as u64);
+            best_within = scan.best_within;
+            shared = scan.hit.map(|(i, p)| (i, p.max_dev, p.delta0));
             mx.record(Phase::PoolScan, t_scan);
             mx.incr(if shared.is_some() {
                 Ctr::PoolHits
@@ -437,50 +439,40 @@ pub(crate) fn run_search(
             if let Some(cp) = cross.filter(|c| !c.models.is_empty()) {
                 mx.incr(Ctr::CrossShardPoolProbes);
                 let t_scan = mx.span();
+                if !gathered {
+                    probe_rows.gather(&snap, &fit);
+                }
                 // Work stealing: a straggler whose siblings have retired
                 // fans this scan over the idle threads. first_match_scan
                 // returns the lowest matching index — the same winner the
                 // sequential walk below finds — so stealing changes wall
                 // clock, never results. Below two models there is nothing
-                // to fan.
+                // to fan. Each worker keeps one residual buffer.
                 let helpers = cp.idle_workers();
-                if helpers > 0 && cp.models.len() >= 2 {
+                let hit = if helpers > 0 && cp.models.len() >= 2 {
                     mx.incr(Ctr::StealAssists);
-                    let (winner, probes) =
-                        crate::parallel::first_match_scan(cp.models.len(), 1 + helpers, |i| {
-                            let mut buf = Vec::new();
-                            let p = share_probe(
-                                cp.models[i].2.as_ref(),
-                                &snap,
-                                &fit,
-                                cfg.rho_max,
-                                &mut buf,
-                                ScanMode::AbortOnMiss,
-                            );
-                            let matched = p.max_dev <= cfg.rho_max;
-                            (p, matched)
-                        });
-                    if let Some(w) = winner {
-                        if let Some(p) = &probes[w] {
-                            cross_hit = Some((Arc::clone(&cp.models[w].2), p.max_dev, p.delta0));
-                        }
-                    }
+                    let (winner, probes) = crate::parallel::first_match_scan(
+                        cp.models.len(),
+                        1 + helpers,
+                        Vec::new,
+                        |buf, i| {
+                            let p = range_probe(cp.models[i].2.as_ref(), &probe_rows, buf);
+                            (p, p.max_dev <= cfg.rho_max)
+                        },
+                    );
+                    winner.and_then(|w| probes[w].map(|p| (w, p)))
                 } else {
-                    for (_, _, f) in &cp.models {
-                        let p = share_probe(
-                            f.as_ref(),
-                            &snap,
-                            &fit,
-                            cfg.rho_max,
-                            &mut resid,
-                            ScanMode::AbortOnMiss,
-                        );
-                        if p.max_dev <= cfg.rho_max {
-                            cross_hit = Some((Arc::clone(f), p.max_dev, p.delta0));
-                            break;
-                        }
-                    }
-                }
+                    // Cross probes do not feed ind(C), so no miss counts.
+                    scan_pool(
+                        cp.models.iter().map(|(_, _, f)| f.as_ref()),
+                        &probe_rows,
+                        &mut resid,
+                        cfg.rho_max,
+                        false,
+                    )
+                    .hit
+                };
+                cross_hit = hit.map(|(w, p)| (Arc::clone(&cp.models[w].2), p.max_dev, p.delta0));
                 mx.record(Phase::PoolScan, t_scan);
                 mx.incr(if cross_hit.is_some() {
                     Ctr::CrossShardPoolHits
@@ -875,127 +867,6 @@ fn fill_residuals(f: &Model, snap: &NumericSnapshot, fit: &[u32], out: &mut Vec<
     }
 }
 
-/// How far a shared-pool probe may cut its deviation scan short.
-#[derive(Clone, Copy)]
-enum ScanMode {
-    /// Evaluate every row — parallel workers under ind-consuming orders,
-    /// where a truncated `within` count would perturb queue priorities.
-    Full,
-    /// Abort as soon as the model provably cannot fit (`max_dev > ρ_M`);
-    /// the order never reads ind(C), so the truncated count is harmless.
-    AbortOnMiss,
-    /// Abort once the model provably cannot fit *and* the rows left cannot
-    /// lift `within` above `floor` (the best count seen so far) — the final
-    /// `max` over probes is provably unchanged, keeping ind(C) exact.
-    AbortBelowFloor(usize),
-}
-
-/// One probe's result: Proposition 6's midrange shift, the worst deviation
-/// from it, how many rows land within `ρ_M` (the ind numerator), and
-/// whether the deviation scan stopped before the last row.
-struct ShareProbe {
-    delta0: f64,
-    max_dev: f64,
-    within: usize,
-    truncated: bool,
-}
-
-/// Proposition 6's shared-fit test for one pooled model over the snapshot.
-fn share_probe(
-    f: &Model,
-    snap: &NumericSnapshot,
-    fit: &[u32],
-    rho_max: f64,
-    resid: &mut Vec<f64>,
-    mode: ScanMode,
-) -> ShareProbe {
-    debug_assert!(!fit.is_empty());
-    fill_residuals(f, snap, fit, resid);
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &r in resid.iter() {
-        lo = lo.min(r);
-        hi = hi.max(r);
-    }
-    let delta0 = (lo + hi) / 2.0;
-    let n = resid.len();
-    let mut max_dev = 0.0f64;
-    let mut within = 0usize;
-    let mut truncated = false;
-    for (i, r) in resid.iter().enumerate() {
-        let dev = (r - delta0).abs();
-        max_dev = max_dev.max(dev);
-        if dev <= rho_max {
-            within += 1;
-        }
-        if max_dev > rho_max {
-            match mode {
-                ScanMode::Full => {}
-                ScanMode::AbortOnMiss => {
-                    truncated = i + 1 < n;
-                    break;
-                }
-                ScanMode::AbortBelowFloor(floor) => {
-                    // Even if every remaining row counted, `within` could
-                    // not beat the floor: stop.
-                    if within + (n - i - 1) <= floor {
-                        truncated = i + 1 < n;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    ShareProbe {
-        delta0,
-        max_dev,
-        within,
-        truncated,
-    }
-}
-
-/// Row-major variant of the shared-fit test: returns
-/// `(δ₀, max |r − δ₀|, fraction of rows within ρ_M of f + δ₀)`.
-///
-/// This is the pre-snapshot formulation, kept public as the benchmark
-/// baseline [`share_fit_snapshot`] is measured against.
-pub fn share_fit_rows(f: &Model, xs: &[Vec<f64>], y: &[f64], rho_max: f64) -> (f64, f64, f64) {
-    debug_assert!(!xs.is_empty());
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut residuals = Vec::with_capacity(xs.len());
-    for (x, &t) in xs.iter().zip(y) {
-        let r = t - f.predict(x);
-        lo = lo.min(r);
-        hi = hi.max(r);
-        residuals.push(r);
-    }
-    let delta0 = (lo + hi) / 2.0;
-    let mut max_dev = 0.0f64;
-    let mut within = 0usize;
-    for r in &residuals {
-        let dev = (r - delta0).abs();
-        max_dev = max_dev.max(dev);
-        if dev <= rho_max {
-            within += 1;
-        }
-    }
-    (delta0, max_dev, within as f64 / residuals.len() as f64)
-}
-
-/// Columnar variant of [`share_fit_rows`] over a snapshot — the engine the
-/// search loop uses, exported for the benchmark harness. Returns the same
-/// `(δ₀, max dev, fraction)` triple.
-pub fn share_fit_snapshot(
-    f: &Model,
-    snap: &NumericSnapshot,
-    fit: &[u32],
-    rho_max: f64,
-) -> (f64, f64, f64) {
-    let mut buf = Vec::new();
-    let p = share_probe(f, snap, fit, rho_max, &mut buf, ScanMode::Full);
-    (p.delta0, p.max_dev, p.within as f64 / fit.len() as f64)
-}
-
 /// Midrange and half-range of the target's finite values over a partition;
 /// `None` when no row has one. The midrange constant's worst absolute
 /// error on the partition is exactly the half-range, so drained rules
@@ -1039,6 +910,7 @@ pub(crate) fn global_midrange(table: &Table, cfg: &DiscoveryConfig, rows: &RowSe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{share_fit_rows, share_fit_snapshot};
     use crate::{Budget, CancelToken, FaultPlan, PredicateGen, SplitStrategy};
     use crr_core::LocateStrategy;
     use crr_data::{AttrType, Schema, Value};
@@ -1340,37 +1212,53 @@ mod tests {
     }
 
     #[test]
-    fn short_circuit_matches_full_probe() {
-        // The ind-bound abort must never change (δ₀, max_dev) and must keep
-        // the *maximum* within-count over the pool exact.
+    fn pool_scan_matches_row_oracle() {
+        // Settling probes from the residual range must find the row
+        // oracle's first fit, and the within count of every miss before it
+        // must reach the oracle's maximum exactly.
         let t = two_segment_table();
         let cfg = cfg_for(&t);
         let snap = NumericSnapshot::build(&t, &cfg.inputs, cfg.target, &t.all_rows()).unwrap();
         let fit = snap.ready_rows(&t.all_rows());
+        let (xs, y) = materialize(&snap, &fit);
         let models = [
-            Model::Linear(crr_models::LinearModel::new(vec![1.0], 0.0)),
             Model::Linear(crr_models::LinearModel::new(vec![2.0], -5.0)),
             Model::Constant(ConstantModel::new(60.0, 1)),
+            Model::Linear(crr_models::LinearModel::new(vec![1.0], 0.0)),
+            Model::Linear(crr_models::LinearModel::new(vec![1.0], -50.0)),
         ];
+        let mut rows = GatheredPartition::new();
+        rows.gather(&snap, &fit);
         let mut buf = Vec::new();
-        let mut floor = 0usize;
-        let mut full_best = 0usize;
-        for m in &models {
-            let full = share_probe(m, &snap, &fit, cfg.rho_max, &mut buf, ScanMode::Full);
-            let cut = share_probe(
-                m,
-                &snap,
-                &fit,
-                cfg.rho_max,
-                &mut buf,
-                ScanMode::AbortBelowFloor(floor),
-            );
-            assert_eq!(full.delta0.to_bits(), cut.delta0.to_bits());
-            assert_eq!(full.max_dev.to_bits(), cut.max_dev.to_bits());
-            full_best = full_best.max(full.within);
-            floor = floor.max(cut.within);
-            // The running max over truncated counts equals the true max.
-            assert_eq!(floor, full_best);
+        let oracle: Vec<_> = models
+            .iter()
+            .map(|m| share_fit_rows(m, &xs, &y, cfg.rho_max))
+            .collect();
+        for len in 1..=models.len() {
+            let first_fit = oracle[..len].iter().position(|o| o.1 <= cfg.rho_max);
+            let probed = first_fit.map_or(len, |i| i + 1);
+            let best = oracle[..probed]
+                .iter()
+                .filter(|o| o.1 > cfg.rho_max)
+                .map(|o| (o.2 * fit.len() as f64).round() as usize)
+                .max()
+                .unwrap_or(0);
+            for reads_ind in [true, false] {
+                let scan = scan_pool(&models[..len], &rows, &mut buf, cfg.rho_max, reads_ind);
+                assert_eq!(scan.hit.map(|h| h.0), first_fit, "{len}");
+                assert_eq!(scan.probes, probed, "{len}");
+                if let Some((i, p)) = scan.hit {
+                    assert_eq!(p.max_dev.to_bits(), oracle[i].1.to_bits());
+                    assert_eq!(p.delta0.to_bits(), oracle[i].0.to_bits());
+                }
+                if reads_ind {
+                    assert_eq!(scan.best_within, best, "{len}");
+                    assert_eq!(scan.settled_from_range, usize::from(first_fit.is_some()));
+                } else {
+                    assert_eq!(scan.best_within, 0);
+                    assert_eq!(scan.settled_from_range, probed);
+                }
+            }
         }
     }
 

@@ -65,9 +65,14 @@ metric_enum! {
         PoolHits => ("pool", "hits"),
         /// Scans that probed the whole pool without a hit.
         PoolMisses => ("pool", "misses"),
-        /// Probes that stopped early under a provably-exact bound
-        /// (`ScanMode::AbortOnMiss` / `AbortBelowFloor`).
+        /// Probes settled from the residual range alone: a hit, or a miss
+        /// whose `within` count was skipped because the queue order never
+        /// reads `ind(C)`. Never exceeds `pool.probes`.
         PoolShortCircuits => ("pool", "short_circuits"),
+        /// Rows the local pool probes scanned: the popped partition's fit
+        /// rows, once per probe counted in `pool.probes` (cross-shard
+        /// probes are not counted). At least `pool.probes`.
+        PoolProbeRows => ("pool", "probe_rows"),
         /// Fits solved from cached sufficient statistics (Cholesky on the
         /// augmented Gram matrix).
         MomentsSolves => ("fits", "moments_solves"),

@@ -35,6 +35,12 @@ echo "==> criterion smoke (perf_fit_engine + perf_scan_kernels compile and run)"
 cargo bench -p crr-bench --bench perf_fit_engine >/dev/null
 cargo bench -p crr-bench --bench perf_scan_kernels >/dev/null
 
+echo "==> perfbench builds and its own tests pass (package outside the workspace)"
+# perfbench reaches the library crates through path dependencies, so a
+# public-API change that breaks it would otherwise surface only when the
+# benchmark runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> deprecation wall (no calls to the positional ShardPlan constructors)"
 # The typed ShardSpec builder replaced ShardPlan::{single, by_key_range,
 # by_time_window}. The deprecated wrappers have since been deleted; this
