@@ -190,10 +190,10 @@ mod tests {
     use super::*;
     use crr_core::compiled::{set_miscompile, Miscompile};
     use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleSet};
-    use crr_data::{AttrId, AttrType, Schema, ShardBounds, Value};
+    use crr_data::{AttrId, AttrType, Boundary, Schema, ShardBounds, Value};
     use crr_discovery::{
-        guard_predicates, PlanBoundary, ProofObligations, RegionOrigin, RepairObligations,
-        RepairRegion, ShardGuard,
+        guard_predicates, ProofObligations, RegionOrigin, RepairObligations, RepairRegion,
+        ShardGuard,
     };
     use crr_models::{ConstantModel, LinearModel, Model, Translation};
     use std::sync::Arc;
@@ -242,7 +242,7 @@ mod tests {
     fn obligations() -> ProofObligations {
         ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::Quantile,
+            boundary: Boundary::Quantile,
             guards: vec![
                 guard(0, bounds(None, Some(10.0), false)),
                 guard(1, bounds(Some(10.0), None, false)),
@@ -380,7 +380,7 @@ mod tests {
     fn overlapping_shards_break_disjointness() {
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::EqualWidth,
+            boundary: Boundary::EqualWidth,
             guards: vec![
                 guard(0, bounds(None, Some(10.0), false)),
                 guard(1, bounds(Some(5.0), None, false)), // overlaps [5, 10)
@@ -398,7 +398,7 @@ mod tests {
     fn missing_open_ends_are_uncovered() {
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::EqualWidth,
+            boundary: Boundary::EqualWidth,
             guards: vec![
                 guard(0, bounds(Some(0.0), Some(10.0), false)),
                 guard(1, bounds(Some(10.0), Some(20.0), false)),
@@ -423,7 +423,7 @@ mod tests {
         // [10, 20) are covered by no shard: only the chain check sees it.
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::Quantile,
+            boundary: Boundary::Quantile,
             guards: vec![
                 guard(0, bounds(None, Some(10.0), false)),
                 guard(1, bounds(Some(20.0), None, false)),
@@ -447,7 +447,7 @@ mod tests {
     fn not_null_guard_without_null_shard_is_unsound() {
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::EqualWidth,
+            boundary: Boundary::EqualWidth,
             guards: vec![
                 guard(0, bounds(None, None, false)), // NOT NULL guard
                 guard(1, bounds(None, Some(0.0), false)),

@@ -1235,7 +1235,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
     // 1-shard run is the baseline (pinned byte-identical to classic
     // discovery by the regression tests); the N-shard runs exercise the
     // frozen cross-shard pool and the Algorithm 2 merge. The quantile cell
-    // is the adaptive planner's and is what the acceptance gate reads; the
+    // is the data-dependent plan and is what the acceptance gate reads; the
     // equal-width cell keeps the old geometry measured beside it.
     for (name, make, sizes, per_attr) in cells {
         let size = *sizes.last().expect("sizes non-empty");
@@ -1285,7 +1285,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         let d = quantile_found.expect("at least one quantile rep");
         let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
         // Acceptance pin: the compiled kernels must be byte-identical under
-        // the adaptive N-way plan too. One untimed interpreted-kernel run
+        // the quantile N-way plan too. One untimed interpreted-kernel run
         // of the same spec; rule conditions, biases and RMSE must all match.
         let di = DiscoverySession::on(sc.table())
             .rows(rows.clone())
@@ -1343,16 +1343,9 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             // Plan geometry for the cell: min/max shard size in permille.
             // Planning is deterministic, so one untimed plan reproduces
             // exactly what the timed runs partitioned on.
-            let (plan, _) = specs[pi]
+            let plan = specs[pi]
                 .1
-                .plan(
-                    sc.table(),
-                    &rows,
-                    &crr_data::PlannerCost {
-                        predicate_vocab: space.len().max(1),
-                        workers: 1,
-                    },
-                )
+                .plan(sc.table(), &rows)
                 .expect("bench shard plan");
             report.sharded.push(bench_json::ShardedEntry {
                 dataset: name.to_string(),
@@ -1366,7 +1359,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             });
         }
         if metrics_out.is_some() {
-            // One instrumented N-shard run of the adaptive plan, outside
+            // One instrumented N-shard run of the quantile plan, outside
             // the timed reps: the planner and cross-shard pool counters
             // land in metrics.json's "shards" section, and the per-shard
             // row counts ride along for the sum invariant --check re-checks.
@@ -1633,8 +1626,8 @@ fn analyze_cmd(scale: f64, path: &str, shards: usize, artifact_out: Option<&str>
         // the report covers satisfiability, subsumption, the inference
         // audit and rho-monotonicity.
         let single = run_discovery(sc.table(), &rows, &cfg, &space).expect("discovery");
-        // Sharded artifact: quantile key-range shards (the adaptive
-        // planner's boundary placement) over the scenario's key attribute,
+        // Sharded artifact: quantile key-range shards (the data-dependent
+        // boundary placement) over the scenario's key attribute,
         // verified against the emitted proof obligations.
         let sharded = DiscoverySession::on(sc.table())
             .rows(rows.clone())

@@ -16,8 +16,12 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Dictionary codes into `dict`.
     Str {
+        /// One dictionary code per row (a null row holds a placeholder; the
+        /// null mask is authoritative).
         codes: Vec<u32>,
+        /// The distinct strings, indexed by code in first-seen order.
         dict: Vec<Arc<str>>,
+        /// Reverse lookup: string → its code in `dict`.
         index: HashMap<Arc<str>, u32>,
     },
 }

@@ -6,24 +6,42 @@ pub enum DataError {
     /// Referenced an attribute that the schema does not contain.
     UnknownAttribute(String),
     /// A row had the wrong number of cells for the schema.
-    ArityMismatch { expected: usize, got: usize },
+    ArityMismatch {
+        /// Cells the schema declares.
+        expected: usize,
+        /// Cells the row carried.
+        got: usize,
+    },
     /// A value's type does not match the attribute's declared type.
     TypeMismatch {
+        /// The attribute's name.
         attribute: String,
+        /// The declared type's name.
         expected: &'static str,
+        /// The offending value's type name.
         got: &'static str,
     },
     /// CSV parse failure with row/column context.
-    Csv { line: usize, message: String },
+    Csv {
+        /// Line number in the input.
+        line: usize,
+        /// What went wrong on that line.
+        message: String,
+    },
     /// Underlying I/O failure (message only, to keep the error `Clone`).
     Io(String),
     /// A numeric view was requested of a non-numeric column.
     NotNumeric(String),
     /// A present numeric cell held NaN or ±Inf where a finite value was
     /// required (building a fit snapshot).
-    NonFiniteCell { row: usize, attribute: String },
-    /// A shard plan that cannot be applied to any instance (zero shards,
-    /// non-positive window width, …).
+    NonFiniteCell {
+        /// Row index of the offending cell.
+        row: usize,
+        /// The attribute's name.
+        attribute: String,
+    },
+    /// A shard spec that cannot be applied to any instance (a key spec
+    /// without `.shards(n)`, or with zero shards).
     InvalidShardPlan(String),
 }
 

@@ -1,45 +1,38 @@
-//! Typed shard planning: the [`ShardSpec`] builder and the cost-based
-//! planner that turns a spec into concrete [`Shard`]s.
-//!
-//! [`ShardSpec`] replaces the positional [`ShardPlan`] constructors with a
-//! typed builder:
+//! Shard planning: the typed [`ShardSpec`] builder and the planner that
+//! cuts a `(table, rows)` pair into concrete [`Shard`]s.
 //!
 //! ```
-//! use crr_data::{PlannerCost, ShardSpec};
+//! use crr_data::ShardSpec;
 //! # use crr_data::{AttrType, Schema, Table, Value};
 //! # let schema = Schema::new(vec![("k", AttrType::Float)]);
 //! # let mut t = Table::new(schema);
 //! # for i in 0..32 { t.push_row(vec![Value::Float((i * i) as f64)]).unwrap(); }
 //! # let key = t.attr("k").unwrap();
 //! // Four equal-frequency shards on `key`:
-//! let spec = ShardSpec::by_key(key).quantile().shards(4);
-//! let (shards, report) = spec.plan(&t, &t.all_rows(), &PlannerCost::default())?;
+//! let shards = ShardSpec::by_key(key).quantile().shards(4).plan(&t, &t.all_rows())?;
 //! assert_eq!(shards.len(), 4);
-//! assert_eq!(report.boundary, Some(crr_data::Boundary::Quantile));
 //! # Ok::<(), crr_data::DataError>(())
 //! ```
 //!
-//! Three decisions are made here rather than by the caller:
+//! A spec is either [`ShardSpec::single`] (one unguarded shard) or a
+//! key-range spec with a caller-fixed shard count and one of two
+//! boundary placements:
 //!
-//! * **Boundary placement** — [`Boundary::Quantile`] picks equal-frequency
-//!   cut points from the sorted key sample, snapped strictly between
-//!   distinct values so repeated-value runs are never split; skewed keys
-//!   yield balanced shards. [`Boundary::EqualWidth`] keeps PR 4's
-//!   equal-width geometry.
-//! * **Shard count** — [`ShardCount::Auto`] estimates per-shard work from
-//!   the row count and the predicate-vocabulary size ([`PlannerCost`]) and
-//!   picks `k` by a wall-clock model instead of requiring a guess.
-//! * **Degeneracy** — null-only, constant and near-constant keys collapse
-//!   to fewer shards; the null regime always lands in its own trailing
-//!   shard exactly as in [`ShardPlan::partition`].
+//! * [`Boundary::Quantile`] picks equal-frequency cut points from the
+//!   sorted key sample, snapped strictly between distinct values so
+//!   repeated-value runs are never split — the data-dependent covering
+//!   that keeps skewed keys balanced;
+//! * [`Boundary::EqualWidth`] cuts the observed `[min, max]` key range
+//!   into equal-width intervals.
 //!
-//! The planner never invents a new cutting engine: every spec resolves to
-//! ascending cut points fed through the same `cut_into_shards` core as
-//! [`ShardPlan`], so the disjoint/covering/dense-id guarantees (and the
-//! non-finite-key rejection) are shared, not re-proved.
+//! Both placements only produce ascending cut points; one cutting core
+//! (`cut_into_shards`) turns them into shards, so the disjoint/covering/
+//! dense-id guarantees and the non-finite-key rejection are shared.
+//! Degenerate keys (null-only, constant, heavily repeated) collapse to
+//! fewer shards, and null keys always land in their own trailing shard.
 
 use crate::shard::{cut_into_shards, key_extent};
-use crate::{AttrId, DataError, Result, RowSet, Shard, ShardPlan, Table};
+use crate::{AttrId, DataError, Result, RowSet, Shard, Table};
 
 /// How interval boundaries are placed on the shard key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,284 +44,145 @@ pub enum Boundary {
     Quantile,
 }
 
-/// How many interval shards to request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardCount {
-    /// Exactly this many intervals (before empty ones are dropped).
-    Fixed(usize),
-    /// Let the planner pick `k` from the cost model in [`PlannerCost`].
-    Auto,
-}
+impl Boundary {
+    /// Stable lowercase label used in artifacts and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Boundary::EqualWidth => "equal_width",
+            Boundary::Quantile => "quantile",
+        }
+    }
 
-/// Cost-model inputs for [`ShardCount::Auto`]: the planner estimates
-/// per-shard discovery work as `rows × predicate_vocab` and amortizes it
-/// over `workers` concurrent non-seed shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannerCost {
-    /// Size of the predicate vocabulary the search will refine over.
-    pub predicate_vocab: usize,
-    /// Worker threads available to run non-seed shards concurrently.
-    pub workers: usize,
-}
-
-impl Default for PlannerCost {
-    fn default() -> Self {
-        PlannerCost {
-            predicate_vocab: 1,
-            workers: 1,
+    /// Parses [`Self::label`] back.
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "equal_width" => Some(Boundary::EqualWidth),
+            "quantile" => Some(Boundary::Quantile),
+            _ => None,
         }
     }
 }
 
-/// What the planner decided, for observability and proof obligations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanReport {
-    /// Boundary placement used, `None` for single-shard and time-window
-    /// plans (which have no boundary choice).
-    pub boundary: Option<Boundary>,
-    /// Shard count requested by the spec, `None` when data-dependent
-    /// (time windows).
-    pub requested: Option<usize>,
-    /// Shards actually produced (after empty shards are dropped).
-    pub produced: usize,
-    /// The shard count came from the cost model, not the caller.
-    pub auto_count: bool,
-}
-
-/// A typed, self-describing shard plan: what to cut on, how to place
-/// boundaries, and how many shards to aim for.
+/// A typed shard plan: what to cut on, how to place boundaries, and how
+/// many shards to cut.
 ///
-/// Construct with [`ShardSpec::single`], [`ShardSpec::by_key`] or
-/// [`ShardSpec::by_time`]; refine key plans with the chainable
-/// [`quantile`](ShardSpec::quantile) / [`equal_width`](ShardSpec::equal_width) /
-/// [`shards`](ShardSpec::shards) / [`auto`](ShardSpec::auto) modifiers.
-/// Key plans default to quantile boundaries with an auto shard count —
-/// the adaptive configuration.
+/// Construct with [`ShardSpec::single`] or [`ShardSpec::by_key`]; refine
+/// key specs with the chainable [`quantile`](ShardSpec::quantile) /
+/// [`equal_width`](ShardSpec::equal_width) and the required
+/// [`shards`](ShardSpec::shards). Key specs default to quantile
+/// boundaries; the modifiers have no effect on the single spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
-    kind: SpecKind,
+    key: Option<KeySpec>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-enum SpecKind {
-    Single,
-    ByKey {
-        attr: AttrId,
-        boundary: Boundary,
-        count: ShardCount,
-    },
-    ByTime {
-        attr: AttrId,
-        width: f64,
-    },
+struct KeySpec {
+    attr: AttrId,
+    boundary: Boundary,
+    /// Requested interval count; 0 until `.shards(n)` sets it.
+    shards: usize,
 }
 
 impl ShardSpec {
     /// The trivial one-shard spec.
     pub fn single() -> Self {
-        ShardSpec {
-            kind: SpecKind::Single,
-        }
+        ShardSpec { key: None }
     }
 
-    /// Key-range spec over `attr`, defaulting to quantile boundaries and
-    /// an auto shard count.
+    /// Key-range spec over `attr` with quantile boundaries. Planning
+    /// needs a shard count: finish with [`shards`](ShardSpec::shards).
     pub fn by_key(attr: AttrId) -> Self {
         ShardSpec {
-            kind: SpecKind::ByKey {
+            key: Some(KeySpec {
                 attr,
                 boundary: Boundary::Quantile,
-                count: ShardCount::Auto,
-            },
+                shards: 0,
+            }),
         }
     }
 
-    /// Fixed-width time-window spec over `attr`.
-    pub fn by_time(attr: AttrId, width: f64) -> Self {
-        ShardSpec {
-            kind: SpecKind::ByTime { attr, width },
-        }
+    /// Use equal-frequency (quantile) boundaries.
+    pub fn quantile(self) -> Self {
+        self.with_key(|k| k.boundary = Boundary::Quantile)
     }
 
-    /// Use equal-frequency (quantile) boundaries. No effect on non-key
-    /// specs, which have no boundary choice.
-    pub fn quantile(mut self) -> Self {
-        if let SpecKind::ByKey { boundary, .. } = &mut self.kind {
-            *boundary = Boundary::Quantile;
-        }
-        self
+    /// Use equal-width boundaries.
+    pub fn equal_width(self) -> Self {
+        self.with_key(|k| k.boundary = Boundary::EqualWidth)
     }
 
-    /// Use equal-width boundaries. No effect on non-key specs.
-    pub fn equal_width(mut self) -> Self {
-        if let SpecKind::ByKey { boundary, .. } = &mut self.kind {
-            *boundary = Boundary::EqualWidth;
+    /// Cut exactly `n` intervals (before empty ones are dropped).
+    pub fn shards(self, n: usize) -> Self {
+        self.with_key(|k| k.shards = n)
+    }
+
+    fn with_key(mut self, f: impl FnOnce(&mut KeySpec)) -> Self {
+        if let Some(k) = &mut self.key {
+            f(k);
         }
         self
     }
 
-    /// Request exactly `n` interval shards. No effect on non-key specs.
-    pub fn shards(mut self, n: usize) -> Self {
-        if let SpecKind::ByKey { count, .. } = &mut self.kind {
-            *count = ShardCount::Fixed(n);
-        }
-        self
-    }
-
-    /// Let the cost model pick the shard count. No effect on non-key specs.
-    pub fn auto(mut self) -> Self {
-        if let SpecKind::ByKey { count, .. } = &mut self.kind {
-            *count = ShardCount::Auto;
-        }
-        self
-    }
-
-    /// The shard-key attribute, when the spec cuts on one.
-    pub fn key_attr(&self) -> Option<AttrId> {
-        match self.kind {
-            SpecKind::Single => None,
-            SpecKind::ByKey { attr, .. } | SpecKind::ByTime { attr, .. } => Some(attr),
-        }
-    }
-
-    /// Boundary placement, when the spec has a boundary choice.
+    /// Boundary placement of a key spec; `None` for the single spec.
     pub fn boundary(&self) -> Option<Boundary> {
-        match self.kind {
-            SpecKind::ByKey { boundary, .. } => Some(boundary),
-            _ => None,
-        }
+        self.key.as_ref().map(|k| k.boundary)
     }
 
-    /// `true` when the shard count is left to the cost model.
-    pub fn is_auto_count(&self) -> bool {
-        matches!(
-            self.kind,
-            SpecKind::ByKey {
-                count: ShardCount::Auto,
-                ..
-            }
-        )
-    }
-
-    /// `true` for the trivial one-shard spec.
-    pub fn is_single(&self) -> bool {
-        matches!(self.kind, SpecKind::Single)
-    }
-
-    /// Shard count the spec requests, `None` when data-dependent
-    /// (auto counts and time windows).
-    pub fn requested_shards(&self) -> Option<usize> {
-        match self.kind {
-            SpecKind::Single => Some(1),
-            SpecKind::ByKey {
-                count: ShardCount::Fixed(n),
-                ..
-            } => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Resolves the spec against `(table, rows)` into concrete shards plus
-    /// a [`PlanReport`] of what the planner decided.
+    /// Resolves the spec against `(table, rows)` into concrete shards.
     ///
-    /// Success guarantees are those of [`ShardPlan::partition`]: shards
-    /// are disjoint, their union is exactly `rows`, no shard is empty, ids
-    /// are dense in emission order (intervals ascending, then the null-key
-    /// shard), and every row with a null key lands in the trailing
-    /// `null_keys` shard. Errors are also shared: zero fixed shards and
-    /// bad window widths are [`DataError::InvalidShardPlan`], non-numeric
-    /// keys [`DataError::NotNumeric`], and NaN/±Inf keys
-    /// [`DataError::NonFiniteCell`].
-    pub fn plan(
-        &self,
-        table: &Table,
-        rows: &RowSet,
-        cost: &PlannerCost,
-    ) -> Result<(Vec<Shard>, PlanReport)> {
-        match self.kind {
-            SpecKind::Single => {
-                let shards = ShardPlan::Single.partition(table, rows)?;
-                Ok((
-                    shards,
-                    PlanReport {
-                        boundary: None,
-                        requested: Some(1),
-                        produced: 1,
-                        auto_count: false,
-                    },
-                ))
-            }
-            SpecKind::ByTime { attr, width } => {
-                let shards = ShardPlan::ByTimeWindow { attr, width }.partition(table, rows)?;
-                let produced = shards.len();
-                Ok((
-                    shards,
-                    PlanReport {
-                        boundary: None,
-                        requested: None,
-                        produced,
-                        auto_count: false,
-                    },
-                ))
-            }
-            SpecKind::ByKey {
-                attr,
-                boundary,
-                count,
-            } => {
-                let (auto_count, k) = match count {
-                    ShardCount::Fixed(0) => {
-                        return Err(DataError::InvalidShardPlan(
-                            "key-range spec requests zero shards".to_string(),
-                        ));
-                    }
-                    ShardCount::Fixed(n) => (false, n),
-                    ShardCount::Auto => (true, auto_shard_count(rows.len(), cost)),
-                };
-                let shards = match boundary {
-                    Boundary::EqualWidth => {
-                        ShardPlan::ByKeyRange { attr, shards: k }.partition(table, rows)?
-                    }
-                    Boundary::Quantile => {
-                        let cuts = quantile_cuts(table, attr, rows, k)?;
-                        cut_into_shards(table, attr, rows, &cuts)
-                    }
-                };
-                let produced = shards.len();
-                Ok((
-                    shards,
-                    PlanReport {
-                        boundary: Some(boundary),
-                        requested: Some(k),
-                        produced,
-                        auto_count,
-                    },
-                ))
-            }
+    /// Guarantees on success: shards are disjoint, their union is exactly
+    /// `rows`, no shard is empty, ids are dense in emission order
+    /// (intervals ascending, then the null-key shard), and every row with
+    /// a null key lands in the trailing `null_keys` shard. The single spec
+    /// yields one shard holding `rows` with no bounds.
+    ///
+    /// Errors: a key spec without `.shards(n)` or with `n == 0` is
+    /// [`DataError::InvalidShardPlan`], a non-numeric key
+    /// [`DataError::NotNumeric`], and a NaN/±Inf key
+    /// [`DataError::NonFiniteCell`] (such a key would satisfy other
+    /// shards' interval guards, so no shard could soundly own the row).
+    pub fn plan(&self, table: &Table, rows: &RowSet) -> Result<Vec<Shard>> {
+        let Some(KeySpec {
+            attr,
+            boundary,
+            shards,
+        }) = self.key
+        else {
+            return Ok(vec![Shard {
+                id: 0,
+                rows: rows.clone(),
+                bounds: None,
+            }]);
+        };
+        if shards == 0 {
+            return Err(DataError::InvalidShardPlan(
+                "key-range spec needs `.shards(n)` with n >= 1".to_string(),
+            ));
         }
+        let cuts = match boundary {
+            Boundary::EqualWidth => equal_width_cuts(table, attr, rows, shards)?,
+            Boundary::Quantile => quantile_cuts(table, attr, rows, shards)?,
+        };
+        Ok(cut_into_shards(table, attr, rows, &cuts))
     }
 }
 
-impl From<ShardPlan> for ShardSpec {
-    /// Every legacy plan maps onto an equivalent spec: `Single` stays
-    /// single, `ByKeyRange` becomes an equal-width fixed-count key spec,
-    /// `ByTimeWindow` a time spec — so code migrating from the removed
-    /// positional constructors changes behavior only when it opts into
-    /// the new adaptive defaults.
-    fn from(plan: ShardPlan) -> Self {
-        match plan {
-            ShardPlan::Single => ShardSpec::single(),
-            ShardPlan::ByKeyRange { attr, shards } => {
-                ShardSpec::by_key(attr).equal_width().shards(shards)
-            }
-            ShardPlan::ByTimeWindow { attr, width } => ShardSpec::by_time(attr, width),
+/// Equal-width cut points for `k` intervals over the observed `[min, max]`
+/// of the finite keys of `attr`. A constant, all-null or one-interval key
+/// yields no cuts. Errors as [`quantile_cuts`].
+pub(crate) fn equal_width_cuts(
+    table: &Table,
+    attr: AttrId,
+    rows: &RowSet,
+    k: usize,
+) -> Result<Vec<f64>> {
+    match key_extent(table, attr, rows)? {
+        (Some(lo), Some(hi)) if k > 1 && hi > lo => {
+            let w = (hi - lo) / k as f64;
+            Ok((1..k).map(|i| lo + w * i as f64).collect())
         }
-    }
-}
-
-impl From<&ShardPlan> for ShardSpec {
-    fn from(plan: &ShardPlan) -> Self {
-        ShardSpec::from(plan.clone())
+        _ => Ok(Vec::new()),
     }
 }
 
@@ -341,9 +195,8 @@ impl From<&ShardPlan> for ShardSpec {
 /// split a repeated-value run. Cuts are deduplicated, so heavily repeated
 /// keys yield fewer (possibly zero) cuts — degeneracy collapses shards
 /// instead of producing empty or overlapping ones. Null keys are skipped
-/// here; `cut_into_shards` gives them the trailing shard. Errors mirror
-/// [`ShardPlan::partition`]: non-numeric keys and non-finite keys are
-/// rejected.
+/// here; `cut_into_shards` gives them the trailing shard. Errors:
+/// non-numeric keys and non-finite keys are rejected.
 pub(crate) fn quantile_cuts(
     table: &Table,
     attr: AttrId,
@@ -351,7 +204,7 @@ pub(crate) fn quantile_cuts(
     k: usize,
 ) -> Result<Vec<f64>> {
     // Validates the attribute and rejects NaN/±Inf up front (shared with
-    // every other partitioning path).
+    // the equal-width path).
     let (lo, hi) = key_extent(table, attr, rows)?;
     if k <= 1 || lo.is_none() || lo == hi {
         return Ok(Vec::new());
@@ -389,44 +242,6 @@ pub(crate) fn quantile_cuts(
     }
     Ok(cuts)
 }
-
-/// Picks a shard count from a wall-clock model of sharded discovery.
-///
-/// Per-shard work is estimated as `rows/k × vocab`. The seed shard runs
-/// alone first (it publishes the cross-shard pool), then the `k-1`
-/// remaining shards run in `⌈(k-1)/workers⌉` waves, and each shard adds a
-/// fixed planning/merge overhead proportional to the vocabulary:
-///
-/// `wall(k) = (rows·vocab/k) · (1 + ⌈(k-1)/workers⌉) + k · overhead(vocab)`
-///
-/// The model is deterministic: candidates `1..=min(2·workers, 16)` are
-/// scored, shards are floored at [`MIN_AUTO_SHARD_ROWS`] rows (smaller
-/// shards under-train models and defeat sharing), and ties break toward
-/// fewer shards.
-pub(crate) fn auto_shard_count(rows: usize, cost: &PlannerCost) -> usize {
-    let workers = cost.workers.max(1);
-    let vocab = cost.predicate_vocab.max(1) as f64;
-    let work = rows as f64 * vocab;
-    let overhead = 64.0 * vocab + 1024.0;
-    let cap = (2 * workers).clamp(1, 16);
-    let mut best_k = 1usize;
-    let mut best = f64::INFINITY;
-    for k in 1..=cap {
-        if k > 1 && rows / k < MIN_AUTO_SHARD_ROWS {
-            break;
-        }
-        let waves = 1 + (k - 1).div_ceil(workers);
-        let wall = work / k as f64 * waves as f64 + k as f64 * overhead;
-        if wall < best {
-            best = wall;
-            best_k = k;
-        }
-    }
-    best_k
-}
-
-/// Minimum rows per shard the auto planner will accept.
-pub(crate) const MIN_AUTO_SHARD_ROWS: usize = 256;
 
 /// Row balance of a partition in permille: `min(rows)/max(rows) × 1000`,
 /// ignoring the trailing null-key shard (its size is a property of the
@@ -487,16 +302,15 @@ mod tests {
         // interval; quantile splits them 25/25/25/25.
         let keys: Vec<Option<f64>> = (0..100).map(|i| Some((i * i) as f64)).collect();
         let (t, attr) = table_with_keys(&keys);
-        let cost = PlannerCost::default();
-        let (ew, _) = ShardSpec::by_key(attr)
+        let ew = ShardSpec::by_key(attr)
             .equal_width()
             .shards(4)
-            .plan(&t, &t.all_rows(), &cost)
+            .plan(&t, &t.all_rows())
             .unwrap();
-        let (q, report) = ShardSpec::by_key(attr)
+        let q = ShardSpec::by_key(attr)
             .quantile()
             .shards(4)
-            .plan(&t, &t.all_rows(), &cost)
+            .plan(&t, &t.all_rows())
             .unwrap();
         assert_disjoint_cover(&q, &t.all_rows());
         assert_eq!(q.len(), 4);
@@ -504,10 +318,6 @@ mod tests {
             assert_eq!(s.rows.len(), 25, "shard {}: {:?}", s.id, s.bounds);
         }
         assert!(balance_permille(&q) > balance_permille(&ew));
-        assert_eq!(report.boundary, Some(Boundary::Quantile));
-        assert_eq!(report.requested, Some(4));
-        assert_eq!(report.produced, 4);
-        assert!(!report.auto_count);
     }
 
     #[test]
@@ -518,10 +328,10 @@ mod tests {
         keys.extend(vec![Some(2.0); 20]);
         keys.extend(vec![Some(3.0); 20]);
         let (t, attr) = table_with_keys(&keys);
-        let (shards, _) = ShardSpec::by_key(attr)
+        let shards = ShardSpec::by_key(attr)
             .quantile()
             .shards(4)
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
+            .plan(&t, &t.all_rows())
             .unwrap();
         assert_disjoint_cover(&shards, &t.all_rows());
         assert_eq!(shards[0].rows.len(), 60);
@@ -538,26 +348,25 @@ mod tests {
     #[test]
     fn quantile_handles_nulls_and_constants() {
         let (t, attr) = table_with_keys(&[Some(5.0), None, Some(5.0), None, Some(5.0)]);
-        let (shards, report) = ShardSpec::by_key(attr)
+        let shards = ShardSpec::by_key(attr)
             .quantile()
             .shards(3)
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
+            .plan(&t, &t.all_rows())
             .unwrap();
         assert_disjoint_cover(&shards, &t.all_rows());
         // Constant key collapses to one interval shard + the null shard.
         assert_eq!(shards.len(), 2);
         assert!(shards[1].bounds.unwrap().null_keys);
         assert_eq!(shards[1].rows.as_slice(), &[1, 3]);
-        assert_eq!(report.produced, 2);
     }
 
     #[test]
     fn quantile_all_null_column_is_one_null_shard() {
         let (t, attr) = table_with_keys(&[None, None, None]);
-        let (shards, _) = ShardSpec::by_key(attr)
+        let shards = ShardSpec::by_key(attr)
             .quantile()
             .shards(4)
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
+            .plan(&t, &t.all_rows())
             .unwrap();
         assert_eq!(shards.len(), 1);
         assert!(shards[0].bounds.unwrap().null_keys);
@@ -568,11 +377,10 @@ mod tests {
     fn quantile_rejects_non_finite_keys() {
         let (t, attr) = table_with_keys(&[Some(0.0), Some(f64::NAN), Some(1.0)]);
         assert!(matches!(
-            ShardSpec::by_key(attr).quantile().shards(2).plan(
-                &t,
-                &t.all_rows(),
-                &PlannerCost::default()
-            ),
+            ShardSpec::by_key(attr)
+                .quantile()
+                .shards(2)
+                .plan(&t, &t.all_rows()),
             Err(DataError::NonFiniteCell { row: 1, .. })
         ));
     }
@@ -583,77 +391,24 @@ mod tests {
         for spec in [
             ShardSpec::by_key(attr).quantile().shards(0),
             ShardSpec::by_key(attr).equal_width().shards(0),
+            // No `.shards(n)` at all: the count is the caller's decision.
+            ShardSpec::by_key(attr),
+            ShardSpec::by_key(attr).equal_width(),
         ] {
             assert!(matches!(
-                spec.plan(&t, &t.all_rows(), &PlannerCost::default()),
+                spec.plan(&t, &t.all_rows()),
                 Err(DataError::InvalidShardPlan(_))
             ));
         }
     }
 
     #[test]
-    fn auto_count_scales_with_rows_and_floors_small_inputs() {
-        let cost = PlannerCost {
-            predicate_vocab: 32,
-            workers: 4,
-        };
-        // Too small to shard at all.
-        assert_eq!(auto_shard_count(100, &cost), 1);
-        assert_eq!(auto_shard_count(2 * MIN_AUTO_SHARD_ROWS - 1, &cost), 1);
-        // Large inputs shard, bounded by the candidate cap.
-        let k = auto_shard_count(100_000, &cost);
-        assert!(k > 1 && k <= 16, "k = {k}");
-        // More rows never picks fewer shards (the overhead term is fixed
-        // while the parallelizable term grows).
-        assert!(auto_shard_count(1_000_000, &cost) >= k);
-        // Deterministic.
-        assert_eq!(auto_shard_count(100_000, &cost), k);
-    }
-
-    #[test]
-    fn auto_plan_reports_the_model_choice() {
-        let keys: Vec<Option<f64>> = (0..2048).map(|i| Some((i % 97) as f64)).collect();
-        let (t, attr) = table_with_keys(&keys);
-        let cost = PlannerCost {
-            predicate_vocab: 16,
-            workers: 4,
-        };
-        let (shards, report) = ShardSpec::by_key(attr)
-            .plan(&t, &t.all_rows(), &cost)
-            .unwrap();
-        assert!(report.auto_count);
-        assert_eq!(report.boundary, Some(Boundary::Quantile));
-        assert_eq!(report.requested, Some(auto_shard_count(2048, &cost)));
-        assert_disjoint_cover(&shards, &t.all_rows());
-    }
-
-    #[test]
-    fn legacy_plans_convert_to_equivalent_specs() {
-        let keys: Vec<Option<f64>> = (0..50).map(|i| Some(i as f64)).collect();
-        let (t, attr) = table_with_keys(&keys);
-        let rows = t.all_rows();
-        let cost = PlannerCost::default();
-        for plan in [
-            ShardPlan::Single,
-            ShardPlan::ByKeyRange { attr, shards: 3 },
-            ShardPlan::ByTimeWindow { attr, width: 10.0 },
-        ] {
-            let direct = plan.partition(&t, &rows).unwrap();
-            let (via_spec, _) = ShardSpec::from(&plan).plan(&t, &rows, &cost).unwrap();
-            assert_eq!(direct, via_spec, "spec diverged from {plan:?}");
-        }
-    }
-
-    #[test]
     fn single_spec_is_one_unguarded_shard() {
         let (t, _) = table_with_keys(&[Some(1.0), Some(2.0)]);
-        let (shards, report) = ShardSpec::single()
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
-            .unwrap();
+        let shards = ShardSpec::single().plan(&t, &t.all_rows()).unwrap();
         assert_eq!(shards.len(), 1);
         assert!(shards[0].bounds.is_none());
-        assert_eq!(report.boundary, None);
-        assert!(ShardSpec::single().is_single());
+        assert_eq!(ShardSpec::single().boundary(), None);
     }
 
     #[test]
@@ -662,10 +417,10 @@ mod tests {
             .map(|i| if i < 4 { None } else { Some(i as f64) })
             .collect();
         let (t, attr) = table_with_keys(&keys);
-        let (shards, _) = ShardSpec::by_key(attr)
+        let shards = ShardSpec::by_key(attr)
             .quantile()
             .shards(4)
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
+            .plan(&t, &t.all_rows())
             .unwrap();
         // 36 finite keys over 4 shards: 9 each → perfectly balanced even
         // though the null shard holds only 4 rows.
@@ -674,13 +429,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_modifiers_are_inert_on_non_key_specs() {
-        assert!(ShardSpec::single().quantile().shards(4).is_single());
-        let (t, attr) = table_with_keys(&[Some(1.0), Some(9.0)]);
-        let spec = ShardSpec::by_time(attr, 4.0).equal_width().auto();
-        let (shards, _) = spec
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
-            .unwrap();
-        assert_eq!(shards.len(), 2);
+    fn builder_modifiers_are_inert_on_the_single_spec() {
+        let (t, _) = table_with_keys(&[Some(1.0), Some(9.0)]);
+        let spec = ShardSpec::single().equal_width().shards(4);
+        assert_eq!(spec, ShardSpec::single());
+        let shards = spec.plan(&t, &t.all_rows()).unwrap();
+        assert_eq!(shards.len(), 1);
+        assert!(shards[0].bounds.is_none());
+    }
+
+    #[test]
+    fn boundary_labels_round_trip() {
+        for b in [Boundary::EqualWidth, Boundary::Quantile] {
+            assert_eq!(Boundary::from_label(b.label()), Some(b));
+        }
+        assert_eq!(Boundary::from_label("nope"), None);
     }
 }

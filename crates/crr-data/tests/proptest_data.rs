@@ -4,7 +4,7 @@
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_data::{csv, AttrType, PlannerCost, RowSet, Schema, ShardPlan, ShardSpec, Table, Value};
+use crr_data::{csv, AttrType, Boundary, RowSet, Schema, Shard, ShardSpec, Table, Value};
 use proptest::prelude::*;
 
 /// An arbitrary cell for a column type. Floats are rounded to a fixed
@@ -152,23 +152,25 @@ proptest! {
         prop_assert!(s.variance <= (max - min).powi(2) + 1e-9);
     }
 
-    /// Quantile shard plans are exact on arbitrary keys — skewed, heavily
-    /// repeated, constant, null-ridden or all-null: shards are disjoint,
-    /// their union is the input, no shard is empty, key ranges never
-    /// interleave (cuts land strictly between distinct values) and every
+    /// Key-range shard plans are exact on arbitrary keys — skewed, heavily
+    /// repeated, constant, null-ridden or all-null — under both boundary
+    /// placements: shards are disjoint, their union is the input, no shard
+    /// is empty, key ranges never interleave (quantile cuts land strictly
+    /// between distinct values; equal-width cuts are ascending) and every
     /// null-key row sits in the single trailing null-regime shard.
     #[test]
     fn quantile_plans_are_disjoint_and_covering(
         keys in prop::collection::vec(arb_shard_key(), 1..80),
         k in 1usize..6,
+        boundary in prop_oneof![Just(Boundary::Quantile), Just(Boundary::EqualWidth)],
     ) {
         let (t, attr) = shard_key_table(&keys);
         let rows = t.all_rows();
-        let (shards, report) = ShardSpec::by_key(attr)
-            .quantile()
-            .shards(k)
-            .plan(&t, &rows, &PlannerCost::default())
-            .unwrap();
+        let spec = match boundary {
+            Boundary::Quantile => ShardSpec::by_key(attr).quantile(),
+            Boundary::EqualWidth => ShardSpec::by_key(attr).equal_width(),
+        };
+        let shards = spec.shards(k).plan(&t, &rows).unwrap();
 
         // Disjoint, covering, no empty shards, dense ids.
         let mut seen: Vec<u32> = Vec::new();
@@ -218,7 +220,14 @@ proptest! {
             prop_assert!(w[0].1 < w[1].0, "key ranges interleave: {:?}", interval_extents);
         }
         prop_assert!(interval_extents.len() <= k, "more interval shards than requested");
-        prop_assert_eq!(report.produced, shards.len());
+        // Each interval shard's keys satisfy its own half-open bounds, so
+        // the guards built from them describe membership exactly.
+        for s in shards.iter().filter(|s| !s.bounds.map(|b| b.null_keys).unwrap_or(false)) {
+            let b = s.bounds.unwrap();
+            for v in s.rows.iter().filter_map(|r| t.value_f64(r, attr)) {
+                prop_assert!(b.lo.is_none_or(|lo| lo <= v) && b.hi.is_none_or(|hi| v < hi));
+            }
+        }
     }
 
     /// A one-shard spec is byte-identical to the classic unsharded
@@ -229,19 +238,12 @@ proptest! {
     ) {
         let (t, attr) = shard_key_table(&keys);
         let rows = t.all_rows();
-        let classic = ShardPlan::Single.partition(&t, &rows).unwrap();
-        let (via_spec, report) = ShardSpec::single()
-            .plan(&t, &rows, &PlannerCost::default())
-            .unwrap();
+        let classic = vec![Shard { id: 0, rows: rows.clone(), bounds: None }];
+        let via_spec = ShardSpec::single().plan(&t, &rows).unwrap();
         prop_assert_eq!(via_spec, classic);
-        prop_assert_eq!(report.produced, 1);
         // And a quantile spec degenerates identically whether asked for
         // one shard or collapsed by a constant key.
-        let (one, _) = ShardSpec::by_key(attr)
-            .quantile()
-            .shards(1)
-            .plan(&t, &rows, &PlannerCost::default())
-            .unwrap();
+        let one = ShardSpec::by_key(attr).quantile().shards(1).plan(&t, &rows).unwrap();
         let mut flat: Vec<u32> = one
             .iter()
             .flat_map(|s| s.rows.as_slice().iter().copied())

@@ -26,7 +26,7 @@
 //! no guards); guard predicates reuse the rule format's predicate grammar
 //! via [`crr_core::serialize::encode_predicate`]. The `boundary=` token
 //! records how the plan's interval boundaries were derived
-//! ([`crate::sharded::PlanBoundary`]); artifacts predating it parse as
+//! ([`crr_data::Boundary`]); artifacts predating it parse as
 //! `equal_width`, the only construction that existed then.
 //!
 //! A repaired artifact produced by `crr-stream` additionally carries
@@ -46,11 +46,11 @@
 //! static verifier's A7 check audits these claims row-free, so a splice
 //! that over- or under-claims is refused at `crr-serve`'s swap gate.
 
-use crate::sharded::{PlanBoundary, ProofObligations, ShardGuard};
+use crate::sharded::{ProofObligations, ShardGuard};
 use crate::{DiscoveryError, Result};
 use crr_core::serialize::{decode_predicate, encode_predicate, from_text as rules_from_text};
 use crr_core::{CoreError, Predicate, RuleSet};
-use crr_data::{AttrId, AttrType, Schema, ShardBounds};
+use crr_data::{AttrId, AttrType, Boundary, Schema, ShardBounds};
 use std::fmt::Write as _;
 
 /// Where one repair region came from.
@@ -298,12 +298,12 @@ impl RuleSetArtifact {
                 let mut key = None;
                 // Absent in v1 documents written before the planner could
                 // choose: equal-width was the only construction.
-                let mut boundary = PlanBoundary::EqualWidth;
+                let mut boundary = Boundary::EqualWidth;
                 for tok in rest.split_whitespace() {
                     if let Some(n) = tok.strip_prefix("key=#") {
                         key = n.parse().ok().map(AttrId);
                     } else if let Some(b) = tok.strip_prefix("boundary=") {
-                        boundary = PlanBoundary::from_label(b)
+                        boundary = Boundary::from_label(b)
                             .ok_or_else(|| bad(format!("bad obligations boundary: {b}")))?;
                     } else {
                         return Err(bad(format!("bad obligations token: {tok}")));
@@ -515,7 +515,7 @@ mod tests {
             RuleSet::from_rules(vec![rule]),
             Some(ProofObligations {
                 shard_key: k,
-                boundary: PlanBoundary::Quantile,
+                boundary: Boundary::Quantile,
                 guards,
             }),
         )
@@ -554,7 +554,7 @@ mod tests {
         let b = RuleSetArtifact::from_text(&text).unwrap();
         assert_eq!(
             b.obligations.as_ref().unwrap().boundary,
-            PlanBoundary::EqualWidth
+            Boundary::EqualWidth
         );
         // Re-serializing writes the tag explicitly from here on.
         assert!(b.to_text().contains("boundary=equal_width"));

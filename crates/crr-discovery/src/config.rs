@@ -125,10 +125,11 @@ pub struct DiscoveryConfig {
     /// [`ScanKernel`]. Both settings produce byte-identical rule sets.
     pub kernel: ScanKernel,
     /// Worker threads for shard-level parallelism in sharded discovery:
-    /// how many non-seed shards run Algorithm 1 concurrently. `1` runs
-    /// shards sequentially; results are identical either way (the
-    /// cross-shard pool is frozen before any non-seed shard starts).
-    /// Ignored by unsharded runs. Must be ≥ 1 ([`Self::validate`]).
+    /// how many non-seed shards run Algorithm 1 concurrently, the calling
+    /// thread included. `1` runs shards sequentially on the calling
+    /// thread; results are identical either way (the cross-shard pool
+    /// is frozen before any non-seed shard starts). Ignored by unsharded
+    /// runs. Must be ≥ 1 ([`Self::validate`]).
     pub shard_threads: usize,
     /// Structured metrics sink. The no-op default records nothing at
     /// near-zero cost; attach an enabled sink via [`Self::with_metrics`] to

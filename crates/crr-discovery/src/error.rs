@@ -54,7 +54,7 @@ pub enum DiscoveryError {
     /// shard to constant fallbacks and keeps going; the underlying error
     /// is preserved here so per-shard failures stay attributable.
     Shard {
-        /// Dense shard id within the applied [`crr_data::ShardPlan`].
+        /// Dense shard id within the applied [`crr_data::ShardSpec`] plan.
         shard_id: usize,
         /// What went wrong inside the shard.
         source: Box<DiscoveryError>,

@@ -38,9 +38,9 @@
 //! failures deterministically to prove every degradation path under test.
 //!
 //! Large instances can be *sharded* ([`sharded`], [`crr_data::ShardSpec`]):
-//! a typed spec — `ShardSpec::by_key(attr).quantile().shards(4)`, or
-//! `.auto()` to let the cost-based planner pick the count — is resolved
-//! into balanced shards; Algorithm 1 runs per shard — concurrently,
+//! a typed spec — `ShardSpec::by_key(attr).quantile().shards(4)` or
+//! `.equal_width().shards(4)`, the count always the caller's — is
+//! resolved into shards; Algorithm 1 runs per shard — concurrently,
 //! largest shards first, probing a frozen cross-shard model pool published
 //! by the seed shard, with idle workers stolen to fan a straggler's probe
 //! scans — and per-shard rule sets are merged by Algorithm 2, with
@@ -141,15 +141,10 @@ pub use predicates::{PredicateGen, PredicateSpace};
 pub use probe::{share_fit_rows, share_fit_snapshot};
 pub use search::{Discovery, DiscoveryStats};
 pub use session::DiscoverySession;
-pub use sharded::{
-    guard_predicates, PlanBoundary, ProofObligations, ShardGuard, ShardOutcome, ShardedDiscovery,
-};
+pub use sharded::{guard_predicates, ProofObligations, ShardGuard, ShardOutcome, ShardedDiscovery};
 // Shard specs live in crr-data (they cut tables, not searches); re-exported
-// so sharded sessions need only this crate. `ShardPlan` stays exported as
-// the planner's output type (`ShardSpec` is the only way to build one).
-pub use crr_data::{
-    balance_permille, Boundary, PlannerCost, Shard, ShardBounds, ShardCount, ShardPlan, ShardSpec,
-};
+// so sharded sessions need only this crate.
+pub use crr_data::{balance_permille, Boundary, Shard, ShardBounds, ShardSpec};
 // Observability surface, re-exported so callers configuring a metered run
 // need only this crate.
 pub use crr_obs::{MetricsSink, MetricsSnapshot};
@@ -164,7 +159,7 @@ pub mod prelude {
     pub use crate::faults::FaultPlan;
     pub use crate::session::DiscoverySession;
     pub use crate::sharded::{ShardOutcome, ShardedDiscovery};
-    pub use crr_data::{Boundary, ShardCount, ShardSpec};
+    pub use crr_data::{Boundary, ShardSpec};
     pub use crr_obs::{MetricsSink, MetricsSnapshot};
 }
 

@@ -1,22 +1,22 @@
 //! Sharded discovery: Algorithm 1 per shard with a frozen cross-shard
 //! model pool, then Algorithm 2 as the cross-shard merge.
 //!
-//! The instance is cut by a [`ShardSpec`] resolved through the
-//! cost-based planner in `crr-data` (quantile or equal-width key
-//! boundaries, fixed or cost-model shard count, or time windows). Shard
-//! 0 — the *seed* — runs plain Algorithm 1 first; the models it trains,
-//! in publication order keyed `(shard_id, seq)`, freeze into a read-only
-//! cross-shard pool. The remaining shards then run concurrently (up to
-//! [`crate::DiscoveryConfig::shard_threads`] at a time, largest shards
-//! claimed first), each probing that frozen pool in deterministic
-//! `(shard, seq)` order after a complete local-pool miss with the first
-//! match winning. Threads with no shards left to claim retire into an
-//! idle ledger, and straggler shards borrow them to fan their cross-pool
-//! probe scans (work stealing) — the probe *order* never changes, only
-//! how fast it resolves. Because the pool never changes while shards run
-//! and each shard is a pure function of its own rows, the result is
-//! byte-identical whatever the thread schedule — the same first-match
-//! determinism contract the within-run parallel pool scan gives.
+//! The instance is cut by a [`ShardSpec`] (`crr-data`'s one planner: a
+//! caller-fixed shard count over quantile or equal-width key
+//! boundaries). Shard 0 — the *seed* — runs plain Algorithm 1 first; the
+//! models it trains, in publication order keyed `(shard_id, seq)`, freeze
+//! into a read-only cross-shard pool. The remaining shards then run
+//! concurrently (up to [`crate::DiscoveryConfig::shard_threads`] workers,
+//! the calling thread among them, largest shards claimed first), each
+//! probing that frozen pool in deterministic `(shard, seq)` order after a
+//! complete local-pool miss with the first match winning. Threads with no
+//! shards left to claim retire into an idle ledger, and straggler shards
+//! borrow them to fan their cross-pool probe scans (work stealing) — the
+//! probe *order* never changes, only how fast it resolves. Because the
+//! pool never changes while shards run and each shard is a pure function
+//! of its own rows, the result is byte-identical whatever the thread
+//! schedule — the same first-match determinism contract the within-run
+//! parallel pool scan gives.
 //!
 //! Per-shard rule sets are made sound outside their shard by guarding
 //! every conjunction with an exact membership predicate for the shard:
@@ -45,8 +45,7 @@ use crate::{
 };
 use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleSet};
 use crr_data::{
-    balance_permille, AttrId, Boundary, PlannerCost, RowSet, Shard, ShardBounds, ShardSpec, Table,
-    Value,
+    balance_permille, AttrId, Boundary, RowSet, Shard, ShardBounds, ShardSpec, Table, Value,
 };
 use crr_models::{ConstantModel, Model, Moments};
 use crr_obs::{Counter as Ctr, Gauge, MetricsSnapshot};
@@ -142,45 +141,6 @@ pub struct ShardGuard {
     pub guards: Vec<Predicate>,
 }
 
-/// How a plan's interval boundaries were derived, recorded in
-/// [`ProofObligations`] so the verifier can state *which* construction it
-/// audited. All constructions discharge the same four checks — exactness,
-/// disjointness, coverage, confinement — quantile-derived and stolen-work
-/// guards included; the tag is provenance, never a relaxation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanBoundary {
-    /// Equal-width geometry over the observed key range (PR 4's
-    /// construction, and the default for artifacts predating the tag).
-    #[default]
-    EqualWidth,
-    /// Equal-frequency (quantile) boundaries snapped between distinct
-    /// key values.
-    Quantile,
-    /// Fixed-width time windows from the observed minimum.
-    TimeWindow,
-}
-
-impl PlanBoundary {
-    /// Stable lowercase label used in artifacts and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanBoundary::EqualWidth => "equal_width",
-            PlanBoundary::Quantile => "quantile",
-            PlanBoundary::TimeWindow => "time_window",
-        }
-    }
-
-    /// Parses [`Self::label`] back.
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "equal_width" => Some(PlanBoundary::EqualWidth),
-            "quantile" => Some(PlanBoundary::Quantile),
-            "time_window" => Some(PlanBoundary::TimeWindow),
-            _ => None,
-        }
-    }
-}
-
 /// Proof obligations a sharded run discharges onto its verifier: the
 /// shard key, how its boundaries were derived, and, per shard, the guard
 /// predicates actually applied. Emitted by every multi-shard run; the
@@ -191,8 +151,10 @@ impl PlanBoundary {
 pub struct ProofObligations {
     /// The attribute the instance was sharded on.
     pub shard_key: AttrId,
-    /// How the plan's interval boundaries were derived.
-    pub boundary: PlanBoundary,
+    /// How the plan's interval boundaries were derived — provenance for
+    /// the verifier, never a relaxation: every construction discharges
+    /// the same exactness, disjointness, coverage and confinement checks.
+    pub boundary: Boundary,
     /// One entry per shard, in shard order.
     pub guards: Vec<ShardGuard>,
 }
@@ -203,20 +165,11 @@ enum ShardRun {
     Failed(DiscoveryError),
 }
 
-/// Minimum cross-pool probes an auto-count spec needs on the sink before
-/// the planner trusts the hit rate enough to fall back to single-shard.
-const CROSS_POOL_FALLBACK_MIN_PROBES: u64 = 64;
-
 /// Runs sharded discovery over `rows` of `table` under `spec`.
 ///
-/// The spec is resolved by the cost-based planner ([`ShardSpec::plan`])
-/// into concrete shards: quantile or equal-width boundaries, a fixed or
-/// cost-model shard count. An auto-count spec additionally consults this
-/// sink's own `shards.cross_pool_*` history — when at least
-/// [`CROSS_POOL_FALLBACK_MIN_PROBES`] probes have resolved and fewer than
-/// one in five hit, cross-shard sharing demonstrably isn't paying on this
-/// workload and the planner falls back to a single shard
-/// (`shards.plan_fallback_single`).
+/// The spec is resolved by [`ShardSpec::plan`] into concrete shards. The
+/// metrics sink is only written to: nothing it holds steers the plan or
+/// the search.
 ///
 /// With a spec that yields one shard this is byte-identical to a plain
 /// unsharded run (no guards, no merge) and errors propagate directly.
@@ -253,50 +206,9 @@ pub(crate) fn discover_sharded(
     let start = Instant::now();
     let mx = &cfg.metrics;
 
-    // Auto-fallback: an auto-count spec defers not just *how many* shards
-    // but *whether* sharding pays. The sink's cumulative cross-pool
-    // counters are the evidence — a cold or disabled sink (zero probes)
-    // never triggers this.
-    let resolved;
-    let spec = if spec.is_auto_count() {
-        let snap = mx.snapshot();
-        let probes = snap.count("shards", "cross_pool_probes").unwrap_or(0);
-        let hits = snap.count("shards", "cross_pool_hits").unwrap_or(0);
-        if probes >= CROSS_POOL_FALLBACK_MIN_PROBES && hits * 5 < probes {
-            mx.incr(Ctr::PlanFallbackSingle);
-            resolved = ShardSpec::single();
-            &resolved
-        } else {
-            spec
-        }
-    } else {
-        spec
-    };
-
-    let cost = PlannerCost {
-        predicate_vocab: space.len().max(1),
-        workers: cfg.shard_threads.max(1),
-    };
-    let (shards, report) = spec.plan(table, rows, &cost)?;
-    if report.auto_count {
-        mx.incr(Ctr::PlanAutoK);
-    }
-    if shards.len() > 1 {
-        match report.boundary {
-            Some(Boundary::Quantile) => mx.incr(Ctr::PlanQuantile),
-            Some(Boundary::EqualWidth) => mx.incr(Ctr::PlanEqualWidth),
-            None => {}
-        }
-    }
+    let shards = spec.plan(table, rows)?;
     mx.set_gauge(Gauge::ShardsPlanned, shards.len() as u64);
     mx.set_gauge(Gauge::ShardBalancePermille, balance_permille(&shards));
-    let boundary = match report.boundary {
-        Some(Boundary::Quantile) => PlanBoundary::Quantile,
-        Some(Boundary::EqualWidth) => PlanBoundary::EqualWidth,
-        // Multi-shard plans without a boundary choice are time windows;
-        // the single-shard case emits no obligations at all.
-        None => PlanBoundary::TimeWindow,
-    };
 
     if shards.len() == 1 {
         // Fast path: one shard is plain Algorithm 1 — no guards, no
@@ -336,6 +248,13 @@ pub(crate) fn discover_sharded(
         });
     }
 
+    // More than one shard means a key spec, which always has a boundary.
+    let boundary = spec.boundary().unwrap_or(Boundary::EqualWidth);
+    mx.incr(match boundary {
+        Boundary::Quantile => Ctr::PlanQuantile,
+        Boundary::EqualWidth => Ctr::PlanEqualWidth,
+    });
+
     // Seed phase: shard 0 runs alone with no cross pool. Its published
     // models freeze into the pool every later shard probes.
     let rest = &shards[1..];
@@ -346,11 +265,7 @@ pub(crate) fn discover_sharded(
     // to fan their cross-pool probe scans (see `run_search`) — by the
     // first-match-scan contract that never changes which model wins,
     // only how fast the scan resolves.
-    let workers = if cfg.shard_threads <= 1 || rest.len() <= 1 {
-        1
-    } else {
-        cfg.shard_threads.min(rest.len())
-    };
+    let workers = cfg.shard_threads.clamp(1, rest.len());
     let frozen = CrossShardPool {
         models: match &seed_run {
             ShardRun::Ok(r) => r
@@ -364,57 +279,40 @@ pub(crate) fn discover_sharded(
         idle: AtomicUsize::new(cfg.shard_threads.saturating_sub(workers)),
     };
 
-    // Parallel phase: shards 1.. claim work over a shared index, bounded
-    // by `shard_threads`. Each is a pure function of (its rows, cfg,
-    // space, frozen pool), so the schedule cannot change any result.
-    let mut runs: Vec<Option<ShardRun>> = Vec::with_capacity(rest.len());
-    if cfg.shard_threads <= 1 || rest.len() <= 1 {
-        for shard in rest {
-            runs.push(Some(run_shard_isolated(
-                table,
-                shard,
-                cfg,
-                space,
-                Some(&frozen),
-            )));
-        }
-    } else {
-        // Skew-aware claim order (longest processing time first): the
-        // largest shards are claimed first so the schedule's tail is
-        // short shards, not one straggler holding the run open. Claim
-        // order cannot change any result — each shard is a pure function
-        // of its own rows and the frozen pool — and results land in
-        // slots by original shard index, so output order is unaffected.
-        let mut order: Vec<usize> = (0..rest.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(rest[i].rows.len()));
-        let slots: Vec<Mutex<Option<ShardRun>>> = rest.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let (next, slots, frozen, order) = (&next, &slots, &frozen, &order);
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    loop {
-                        let oi = next.fetch_add(1, Ordering::Relaxed);
-                        if oi >= order.len() {
-                            break;
-                        }
-                        let i = order[oi];
-                        let out = run_shard_isolated(table, &rest[i], cfg, space, Some(frozen));
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                    }
-                    // Retire into the steal ledger: this thread is done
-                    // claiming shards, so stragglers may count it as an
-                    // available probe-scan helper.
-                    frozen.idle.fetch_add(1, Ordering::Relaxed);
-                });
+    // Parallel phase: shards 1.. claim work over a shared index. The
+    // calling thread is worker 0; `workers - 1` more are spawned. Each
+    // shard is a pure function of (its rows, cfg, space, frozen pool), so
+    // the schedule cannot change any result.
+    //
+    // Skew-aware claim order (longest processing time first): the largest
+    // shards are claimed first so the schedule's tail is short shards, not
+    // one straggler holding the run open. Results land in slots by
+    // original shard index, so output order is unaffected.
+    let mut order: Vec<usize> = (0..rest.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(rest[i].rows.len()));
+    let slots: Vec<Mutex<Option<ShardRun>>> = rest.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        loop {
+            let oi = next.fetch_add(1, Ordering::Relaxed);
+            if oi >= order.len() {
+                break;
             }
-        });
-        runs.extend(
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner())),
-        );
-    }
+            let i = order[oi];
+            let out = run_shard_isolated(table, &rest[i], cfg, space, Some(&frozen));
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+        }
+        // Retire into the steal ledger: this thread is done claiming
+        // shards, so stragglers may count it as an available probe-scan
+        // helper.
+        frozen.idle.fetch_add(1, Ordering::Relaxed);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(claim);
+        }
+        claim();
+    });
 
     // Merge phase (sequential, shard order). Guard each shard's rules
     // with its key interval so they stay sound instance-wide, then let
@@ -431,9 +329,11 @@ pub(crate) fn discover_sharded(
     // every later run onto the wrong shard (wrong bounds guarding the
     // wrong rules). The worker loop fills every slot; hold it to that.
     #[allow(clippy::expect_used)]
-    let finished = runs
-        .into_iter()
-        .map(|s| s.expect("shard slot unfilled by worker loop"));
+    let finished = slots.into_iter().map(|s| {
+        s.into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .expect("shard slot unfilled by worker loop")
+    });
     for (shard, run) in shards.iter().zip(std::iter::once(seed_run).chain(finished)) {
         mx.incr(Ctr::ShardsRun);
         let (mut rules, stats, shard_outcome, error, root_moments) = match run {
@@ -730,17 +630,5 @@ mod tests {
             m0.count("shards", "cross_pool_hits"),
             m2.count("shards", "cross_pool_hits")
         );
-    }
-
-    #[test]
-    fn plan_boundary_labels_round_trip() {
-        for b in [
-            PlanBoundary::EqualWidth,
-            PlanBoundary::Quantile,
-            PlanBoundary::TimeWindow,
-        ] {
-            assert_eq!(PlanBoundary::from_label(b.label()), Some(b));
-        }
-        assert_eq!(PlanBoundary::from_label("nope"), None);
     }
 }

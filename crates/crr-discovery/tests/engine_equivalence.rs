@@ -14,8 +14,9 @@ use crr_data::{RowSet, Table};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{
     DiscoveryConfig, DiscoverySession, FitEngine, MetricsSink, PredicateGen, PredicateSpace,
-    ShardedDiscovery,
+    ShardSpec, ShardedDiscovery,
 };
+use crr_obs::Counter;
 
 /// Single-shard run through the session front door.
 fn discover(
@@ -77,6 +78,31 @@ fn metrics_instrumentation_is_byte_identical() {
     assert_eq!(fingerprint(&plain), fingerprint(&metered));
     assert!(plain.metrics.is_empty());
     assert!(!metered.metrics.is_empty());
+
+    // Sharded runs keep the contract even when the sink already holds a
+    // history of failed cross-shard probes: recorded counters never steer
+    // the plan, so a 4-shard quantile run stays 4 shards and matches the
+    // disabled-sink run byte for byte.
+    let minute = t.attr("minute").unwrap();
+    let spec = ShardSpec::by_key(minute).quantile().shards(4);
+    let sharded = |cfg: &DiscoveryConfig| {
+        DiscoverySession::on(&t)
+            .predicates(space.clone())
+            .config(cfg.clone())
+            .sharded(spec.clone())
+            .run()
+            .unwrap()
+    };
+    let sink = MetricsSink::enabled();
+    sink.add(Counter::CrossShardPoolProbes, 100);
+    sink.add(Counter::CrossShardPoolMisses, 100);
+    let plain = sharded(&plain_cfg);
+    let metered = sharded(&plain_cfg.clone().with_metrics(sink));
+    assert_eq!(plain.shards.len(), 4);
+    assert_eq!(metered.shards.len(), 4);
+    assert_eq!(fingerprint(&plain), fingerprint(&metered));
+    assert!(plain.metrics.is_empty());
+    assert_eq!(metered.metrics.count("shards", "run"), Some(4));
 }
 
 #[test]

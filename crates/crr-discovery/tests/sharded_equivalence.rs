@@ -422,7 +422,7 @@ fn invalid_plan_and_config_error_before_any_shard_runs() {
     ));
 }
 
-// ---- Adaptive planning (ISSUE 9) ----------------------------------------
+// ---- Boundary placement --------------------------------------------------
 
 #[test]
 fn quantile_one_shard_is_byte_identical_to_classic() {
@@ -512,7 +512,6 @@ fn quantile_balances_the_skewed_tax_key() {
 
 #[test]
 fn obligations_record_the_boundary_construction() {
-    use crr_discovery::PlanBoundary;
     let (t, cfg, space) = two_regime_table(200);
     let x = key_of(&t, "x");
     let q = DiscoverySession::on(&t)
@@ -521,10 +520,7 @@ fn obligations_record_the_boundary_construction() {
         .sharded(ShardSpec::by_key(x).quantile().shards(4))
         .run()
         .unwrap();
-    assert_eq!(
-        q.obligations.as_ref().unwrap().boundary,
-        PlanBoundary::Quantile
-    );
+    assert_eq!(q.obligations.as_ref().unwrap().boundary, Boundary::Quantile);
     let ew = DiscoverySession::on(&t)
         .predicates(space)
         .config(cfg)
@@ -533,74 +529,10 @@ fn obligations_record_the_boundary_construction() {
         .unwrap();
     assert_eq!(
         ew.obligations.as_ref().unwrap().boundary,
-        PlanBoundary::EqualWidth
+        Boundary::EqualWidth
     );
     // The boundary survives the artifact round-trip.
     let artifact = q.export_artifact(t.schema()).unwrap();
     let back = crr_discovery::RuleSetArtifact::from_text(&artifact.to_text()).unwrap();
-    assert_eq!(back.obligations.unwrap().boundary, PlanBoundary::Quantile);
-}
-
-#[test]
-fn auto_count_plans_from_the_cost_model() {
-    let (t, cfg, space) = two_regime_table(4096);
-    let sink = MetricsSink::enabled();
-    let out = DiscoverySession::on(&t)
-        .predicates(space)
-        .config(cfg.with_shard_threads(4))
-        .metrics(sink.clone())
-        .sharded(ShardSpec::by_key(key_of(&t, "x")).auto())
-        .run()
-        .unwrap();
-    let m = sink.snapshot();
-    assert_eq!(m.count("shards", "plan_auto_k"), Some(1));
-    assert!(out.shards.len() > 1, "4096 rows should shard");
-    assert_eq!(
-        m.count("shards", "plan_quantile"),
-        Some(1),
-        "auto specs default to quantile boundaries"
-    );
-    let balance = m.count("shards", "balance_permille").unwrap();
-    assert!(balance > 900, "balance gauge reads {balance}");
-    assert!(out.rules.uncovered(&t, &t.all_rows()).is_empty());
-}
-
-#[test]
-fn auto_count_falls_back_to_single_shard_on_poor_sharing() {
-    use crr_obs::Counter;
-    let (t, cfg, space) = two_regime_table(4096);
-    // A sink whose history says cross-shard sharing never pays: plenty of
-    // probes, no hits.
-    let sink = MetricsSink::enabled();
-    sink.add(Counter::CrossShardPoolProbes, 100);
-    sink.add(Counter::CrossShardPoolMisses, 100);
-    let out = DiscoverySession::on(&t)
-        .predicates(space.clone())
-        .config(cfg.clone())
-        .metrics(sink.clone())
-        .sharded(ShardSpec::by_key(key_of(&t, "x")).auto())
-        .run()
-        .unwrap();
-    assert_eq!(out.shards.len(), 1, "planner must fall back to one shard");
-    assert!(out.obligations.is_none());
-    assert_eq!(
-        sink.snapshot().count("shards", "plan_fallback_single"),
-        Some(1)
-    );
-    // A fixed-count spec is a caller decision: never overridden.
-    let sink2 = MetricsSink::enabled();
-    sink2.add(Counter::CrossShardPoolProbes, 100);
-    sink2.add(Counter::CrossShardPoolMisses, 100);
-    let fixed = DiscoverySession::on(&t)
-        .predicates(space)
-        .config(cfg)
-        .metrics(sink2.clone())
-        .sharded(ShardSpec::by_key(key_of(&t, "x")).quantile().shards(4))
-        .run()
-        .unwrap();
-    assert_eq!(fixed.shards.len(), 4);
-    assert_eq!(
-        sink2.snapshot().count("shards", "plan_fallback_single"),
-        Some(0)
-    );
+    assert_eq!(back.obligations.unwrap().boundary, Boundary::Quantile);
 }

@@ -137,17 +137,11 @@ metric_enum! {
         /// Cross-shard consultations that scanned the whole frozen pool
         /// without a hit. Hits + misses == probes, always.
         CrossShardPoolMisses => ("shards", "cross_pool_misses"),
-        /// Adaptive plans resolved with quantile (equal-frequency)
+        /// Multi-shard plans cut on quantile (equal-frequency)
         /// boundaries.
         PlanQuantile => ("shards", "plan_quantile"),
-        /// Plans resolved with equal-width boundaries.
+        /// Multi-shard plans cut on equal-width boundaries.
         PlanEqualWidth => ("shards", "plan_equal_width"),
-        /// Plans whose shard count came from the cost model rather than
-        /// the caller.
-        PlanAutoK => ("shards", "plan_auto_k"),
-        /// Auto plans resolved to a single shard because prior cross-shard
-        /// hit/miss evidence showed sharing does not pay on this workload.
-        PlanFallbackSingle => ("shards", "plan_fallback_single"),
         /// Cross-shard pool consultations whose probe scan was fanned out
         /// over idle shard workers (work stealing). Each assisted
         /// consultation still counts exactly once in `cross_pool_probes`.
